@@ -54,11 +54,15 @@ class Matrix:
 
     __slots__ = ("rows", "nrows", "ncols", "_hash")
 
-    def __init__(self, rows):
+    def __init__(self, rows, ncols: int | None = None):
+        """``ncols`` gives the width of a matrix without rows; with rows it
+        must match their length."""
         self.rows = tuple(tuple(_norm(x) for x in row) for row in rows)
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
+        if any(len(r) != ncols for r in self.rows):
             raise ValueError("ragged rows")
         self._hash = hash(self.rows)
 
@@ -66,7 +70,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -110,7 +114,7 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
+        return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -118,7 +122,7 @@ class Matrix:
     # -- structure ----------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.ncols == other.ncols and self.rows == other.rows
 
     def __hash__(self):
         return self._hash
@@ -155,7 +159,8 @@ class Matrix:
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
-            ]
+            ],
+            self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -164,11 +169,12 @@ class Matrix:
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
-            ]
+            ],
+            self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix([[-a for a in row] for row in self.rows], self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -179,7 +185,8 @@ class Matrix:
                 [
                     [sum(a * b for a, b in zip(row, col)) for col in cols]
                     for row in self.rows
-                ]
+                ],
+                other.ncols,
             )
         return self.scale(other)
 
@@ -187,7 +194,7 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, s) -> "Matrix":
-        return Matrix([[s * a for a in row] for row in self.rows])
+        return Matrix([[s * a for a in row] for row in self.rows], self.ncols)
 
     @property
     def shape(self):
@@ -195,7 +202,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
+            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            self.nrows,
         )
 
     def apply(self, vec):
@@ -542,7 +550,8 @@ def integral_member(particular: Matrix, basis) -> tuple:
     for i in range(min(len(diag), kmat.ncols)):
         if diag[i] != 0:
             val = Fraction(c.rows[i][0]) * r / diag[i]
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise InternalConsistencyError("scaled diagonal solution is not integral")
             z[i] = int(val)
     y = w.apply(z)
     member_flat = [Fraction(yi, r) for yi in y]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .exact import InternalConsistencyError, Matrix, NotFound
@@ -32,7 +33,10 @@ class TransitionMatrix:
     k: int
     eps: int
     source: Seed
-    target: Seed
+
+    @cached_property
+    def target(self) -> Seed:
+        return mutate_b(self.source, self.k)
 
 
 def trans_matrix(seed: Seed, k: int, eps: int, side: str) -> TransitionMatrix:
@@ -50,7 +54,7 @@ def trans_matrix(seed: Seed, k: int, eps: int, side: str) -> TransitionMatrix:
             rows[i][k] = -1 if i == k else max(-eps * seed.b[i, k], 0)
     else:
         raise ValueError("side must be 'N' or 'M'")
-    return TransitionMatrix(Matrix(rows), side, k, eps, seed, mutate_b(seed, k))
+    return TransitionMatrix(Matrix(rows), side, k, eps, seed)
 
 
 def verify_matrix_identities(seed: Seed, k: int, eps: int, lam: Matrix | None = None) -> dict:
@@ -245,8 +249,8 @@ def pushforward_sequence(expr, seeds: list, seq, side: str):
     out = expr if isinstance(expr, RationalExpr) else RationalExpr(expr)
     for s in range(len(seq)):
         # out lives over seeds[s], which is content-equal to
-        # mu_{seq[s]}(seeds[s+1]); relabel and pull back to seeds[s+1]
-        out = mutate_expr(relabel_expr(out, mutate_b(seeds[s + 1], seq[s])), seeds[s + 1], seq[s], side)
+        # mu_{seq[s]}(seeds[s+1]); pull it back to seeds[s+1]
+        out = mutate_expr(out, seeds[s + 1], seq[s], side)
     return out
 
 
@@ -330,8 +334,8 @@ def hamiltonian_decompose_check(seed: Seed, k: int, eps: int, side: str) -> dict
     the mutated seed at the opposite sign); the flow crosses the monomial
     map as its pullback, whence the inverse.
     """
-    target = mutate_b(seed, k)
     tm = trans_matrix(seed, k, eps, "N" if side == "X" else "M")
+    target = tm.target
     report = {}
     ok = True
     for i in range(seed.n):
@@ -357,10 +361,14 @@ def _sign_coherent(vec):
     return -1 if has_neg else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeedTrajectory:
     """Seeds along a mutation sequence together with the running degree
-    transition matrices computed at canonical signs."""
+    transition matrices computed at canonical signs.
+
+    A trajectory is not changed once built: ``extend`` returns a new one
+    that shares this one's seeds.
+    """
 
     initial: Seed
     seq: tuple
@@ -391,39 +399,49 @@ class SeedTrajectory:
     def f_low(self) -> Matrix:
         return self.f_matrix.submatrix(self.initial.frozen, self.initial.unfrozen)
 
+    def extend(self, k: int) -> "SeedTrajectory":
+        """The trajectory one mutation longer, at vertex ``k``, with the
+        step's sign taken from the sign-coherent c-vector of ``k``.
 
-def run_trajectory(t0: Seed, seq) -> SeedTrajectory:
-    """Mutate along ``seq`` keeping the degree matrices, with each step's
-    sign taken from the sign-coherent c-vector of the current vertex."""
-    seq = tuple(seq)
-    seeds = [t0]
-    e = Matrix.identity(t0.n)
-    f = Matrix.identity(t0.n)
-    dmat = t0.d_inverse_matrix()
-    dinv = t0.d_matrix()
-    signs = []
-    uf = t0.unfrozen
-    pos_of = {i: p for p, i in enumerate(uf)}
-    for k in seq:
-        if k not in pos_of:
+        Each step checks that the c-vector is sign-coherent, that the
+        degree matrices keep their duality E^T = D^-1 F^-1 D (D = diag(d)),
+        and that every column of E and every row of F stays sign-coherent.
+        """
+        t0 = self.initial
+        if k not in t0.unfrozen:
             raise ValueError(f"vertex {k} is frozen")
-        cur = seeds[-1]
-        cvec = [e[i, k] for i in uf]
+        e, f = self.e_matrix, self.f_matrix
+        cvec = [e[i, k] for i in t0.unfrozen]
         eps = _sign_coherent(cvec)
         if eps is None or all(x == 0 for x in cvec):
             raise InternalConsistencyError(f"c-vector at vertex {k} is not sign-coherent: {cvec}")
-        signs.append(eps)
+        cur = self.final
+        nxt = mutate_b(cur, k)
         e = e * trans_matrix(cur, k, eps, "N").matrix
         f = f * trans_matrix(cur, k, eps, "M").matrix
-        seeds.append(mutate_b(cur, k))
-        if e.transpose() != dmat * f.inverse() * dinv:
-            raise InternalConsistencyError("degree matrices lost their duality relation")
+        # E^T = D^-1 F^-1 D  <=>  F D E^T = D, which needs no inverse.
+        # Summed in place: building the three products as Matrix objects
+        # costs the search workload a sixth of its throughput.
+        d = t0.d
+        for i, f_row in enumerate(f.rows):
+            for j, e_row in enumerate(e.rows):
+                if sum(a * dl * b for a, dl, b in zip(f_row, d, e_row)) != (d[i] if i == j else 0):
+                    raise InternalConsistencyError("degree matrices lost their duality relation")
         for j in range(t0.n):
             if _sign_coherent(e.col(j)) is None:
                 raise InternalConsistencyError(f"column {j} of the X-degree matrix lost sign coherence")
             if _sign_coherent(f.row(j)) is None:
                 raise InternalConsistencyError(f"row {j} of the A-degree matrix lost sign coherence")
-    return SeedTrajectory(t0, seq, seeds, tuple(signs), e, f)
+        return SeedTrajectory(t0, self.seq + (k,), self.seeds + [nxt], self.signs + (eps,), e, f)
+
+
+def run_trajectory(t0: Seed, seq) -> SeedTrajectory:
+    """Mutate along ``seq`` keeping the degree matrices, with each step's
+    sign taken from the sign-coherent c-vector of the current vertex."""
+    traj = SeedTrajectory(t0, (), [t0], (), Matrix.identity(t0.n), Matrix.identity(t0.n))
+    for k in seq:
+        traj = traj.extend(k)
+    return traj
 
 
 # -- cluster-variable expansion ----------------------------------------------
@@ -503,11 +521,19 @@ def _negated_permutation(c: Matrix):
 def find_t1(t0: Seed, max_depth: int = 12):
     """Breadth-first search for a mutation sequence whose endpoint carries
     c-matrix equal to minus a permutation.  Returns a witness or raises
-    ``NotFound`` at the depth limit."""
+    ``NotFound`` at the depth limit, stating the nodes expanded, the
+    dedup hits and the peak frontier size.
+
+    Every node extends its parent's trajectory by one mutation.
+    """
+    if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"max_depth must be a non-negative integer, got {max_depth!r}")
     uf = t0.unfrozen
     start = run_trajectory(t0, ())
     queue = deque([start])
     seen = {(start.final.b, start.c_matrix)}
+    expanded = dedup_hits = 0
+    peak = 1
     while queue:
         traj = queue.popleft()
         perm = _negated_permutation(traj.c_matrix)
@@ -531,11 +557,17 @@ def find_t1(t0: Seed, max_depth: int = 12):
             return T1Witness(traj.seq, witness, traj.c_matrix, traj)
         if len(traj.seq) >= max_depth:
             continue
+        expanded += 1
         for k in uf:
-            nxt = run_trajectory(t0, traj.seq + (k,))
+            nxt = traj.extend(k)
             key = (nxt.final.b, nxt.c_matrix)
             if key in seen:
+                dedup_hits += 1
                 continue
             seen.add(key)
             queue.append(nxt)
-    raise NotFound(f"no green-to-red endpoint within depth {max_depth}")
+        peak = max(peak, len(queue))
+    raise NotFound(
+        f"no green-to-red endpoint within depth {max_depth} "
+        f"({expanded} nodes expanded, {dedup_hits} dedup hits, peak frontier {peak})"
+    )

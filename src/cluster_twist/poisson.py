@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import Infeasible, Matrix, integer_solution, solve_affine
+from .exact import Infeasible, InternalConsistencyError, Matrix, integer_solution, solve_affine
 from .laurent import LaurentPoly, RationalExpr, exp_add
 from .mutation import trans_matrix
 from .seeds import Seed, mutate_b
@@ -129,39 +129,36 @@ def solve_compatible_lambda(seed: Seed, alpha: int | None = None, alpha_bound: i
         if member is None:
             continue
         lam = assemble(member.rows[0])
-        form = LambdaForm(seed, lam, alpha_val)
-        assert _compatibility_residual(seed, lam, alpha_val)
-        return form, family.dim
+        if not _compatibility_residual(seed, lam, alpha_val):
+            raise InternalConsistencyError("integer member of the family is not compatible")
+        return LambdaForm(seed, lam, alpha_val), family.dim
     if alpha is None and last_family is not None:
         # scaling any rational solution clears denominators: the pair
         # (c*lam, c*alpha) stays compatible, at the cost of a larger alpha
         family = solve_affine(coeffs, rhs_for(base))
         scale = family.particular.denominator_lcm()
         lam = assemble(family.particular.scale(scale).rows[0])
-        form = LambdaForm(seed, lam, base * scale)
-        assert _compatibility_residual(seed, lam, base * scale)
-        return form, family.dim
+        if not _compatibility_residual(seed, lam, base * scale):
+            raise InternalConsistencyError("rescaled rational solution is not compatible")
+        return LambdaForm(seed, lam, base * scale), family.dim
     if last_family is not None:
         raise Infeasible("no integer-valued compatible form for the requested alpha")
     raise Infeasible("compatibility equations are inconsistent")
 
 
 def mutate_lambda(form: LambdaForm, seed: Seed, k: int) -> LambdaForm:
-    """Transport a compatible form through one mutation; the two sign
-    conventions are computed and asserted equal."""
+    """Transport a compatible form through one mutation.
+
+    The transported form does not depend on the sign convention; the
+    tests compare both on randomized seeds, so the plus sign is used here.
+    """
     if form.seed != seed:
         raise ValueError("form does not belong to the seed being mutated")
     if not _compatibility_residual(seed, form.lam, form.alpha):
         raise ValueError("form is not compatible with the seed")
     target = mutate_b(seed, k)
-    out = None
-    for eps in (1, -1):
-        pm = trans_matrix(seed, k, eps, "M").matrix
-        cand = pm.transpose() * form.lam * pm
-        if out is None:
-            out = cand
-        else:
-            assert out == cand, "form transport must not depend on the sign"
+    pm = trans_matrix(seed, k, 1, "M").matrix
+    out = pm.transpose() * form.lam * pm
     new_form = LambdaForm(target, out, form.alpha)
     if not _compatibility_residual(target, out, form.alpha):
         raise ValueError("transported form lost compatibility")
@@ -171,10 +168,8 @@ def mutate_lambda(form: LambdaForm, seed: Seed, k: int) -> LambdaForm:
 def transport_lambda(form: LambdaForm, seq) -> list:
     """Forms along a mutation sequence, starting with the given one."""
     out = [form]
-    seed = form.seed
     for k in seq:
-        out.append(mutate_lambda(out[-1], seed, k))
-        seed = mutate_b(seed, k)
+        out.append(mutate_lambda(out[-1], out[-1].seed, k))
     return out
 
 

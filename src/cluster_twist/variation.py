@@ -338,14 +338,21 @@ class VariationFamily:
         return det
 
 
-def _assemble_m_matrix(source: Seed, target: Seed, sigma: SimilarityWitness, frozen_rows: Matrix) -> Matrix:
-    n = source.n
+def _frozen_rows(n: int, frozen: tuple, block: Matrix) -> Matrix:
+    """n x n matrix carrying the rows of ``block`` in the ``frozen`` rows
+    and zero elsewhere: a direction of a variation family, or its frozen
+    part."""
     rows = [[0] * n for _ in range(n)]
-    for k in source.unfrozen:
+    for pos, r in enumerate(frozen):
+        rows[r] = list(block.rows[pos])
+    return Matrix(rows)
+
+
+def _relabeling(n: int, sigma: SimilarityWitness) -> Matrix:
+    """The unfrozen columns every member of a variation family shares."""
+    rows = [[0] * n for _ in range(n)]
+    for k in sigma.source.unfrozen:
         rows[sigma.image(k)][k] = 1
-    for pos, r in enumerate(target.frozen):
-        for c in range(n):
-            rows[r][c] = frozen_rows[pos, c]
     return Matrix(rows)
 
 
@@ -372,13 +379,11 @@ def solve_M_variation(source: Seed, target: Seed, sigma: SimilarityWitness | Non
                 raise Infeasible("similarity witness does not match the exchange data")
     y = rhs_full.submatrix(target.frozen, range(len(source.unfrozen)))
     sol = solve_affine(bt_s, y)
-    particular = _assemble_m_matrix(source, target, sigma, sol.particular)
-    basis = [
-        _assemble_m_matrix(source, target, sigma, b) - _assemble_m_matrix(source, target, sigma, Matrix.zero(len(target.frozen), source.n))
-        for b in sol.nullspace_basis
-    ]
+    particular = _frozen_rows(source.n, target.frozen, sol.particular) + _relabeling(source.n, sigma)
+    basis = [_frozen_rows(source.n, target.frozen, b) for b in sol.nullspace_basis]
     fam = VariationFamily("M", source, target, sigma, particular, basis)
-    assert fam.member().is_variation()
+    if not fam.member().is_variation():
+        raise InternalConsistencyError("particular A-degree solution is not a variation map")
     return fam
 
 
@@ -406,23 +411,15 @@ def solve_N_variation(
     uf = source.unfrozen
     # unknown rows: columns of V at frozen source indices, transposed
     a = Matrix([[w_t[r, sigma.image(k)] for k in uf] for r in range(n)])
-    y = Matrix([[w_s[i, k] for k in uf] for i in fr])
+    y = Matrix([[w_s[i, k] for k in uf] for i in fr], len(uf))
     sol = solve_affine(a, y)
 
-    def assemble(block: Matrix) -> Matrix:
-        rows = [[0] * n for _ in range(n)]
-        for k in uf:
-            rows[sigma.image(k)][k] = 1
-        for pos, j in enumerate(fr):
-            for r in range(n):
-                rows[r][j] = block[pos, r]
-        return Matrix(rows)
-
-    particular = assemble(sol.particular)
-    zero = assemble(Matrix.zero(len(fr), n))
-    basis = [assemble(b) - zero for b in sol.nullspace_basis]
+    # the unknowns are the frozen columns of V, solved for as rows
+    particular = _frozen_rows(n, fr, sol.particular).transpose() + _relabeling(n, sigma)
+    basis = [_frozen_rows(n, fr, b).transpose() for b in sol.nullspace_basis]
     fam = VariationFamily("N", source, target, sigma, particular, basis)
-    assert fam.member().is_variation()
+    if not fam.member().is_variation():
+        raise InternalConsistencyError("particular X-degree solution is not a variation map")
     if poisson:
         fam = _poisson_filter(fam, w_s, w_t)
     return fam
@@ -490,7 +487,8 @@ def _poisson_filter(fam: VariationFamily, w_s: Matrix, w_t: Matrix) -> Variation
         fam.kind, fam.source, fam.target, fam.sigma, new_particular, new_basis,
         extra_filters=fam.extra_filters + ("poisson",),
     )
-    assert is_poisson(out.member())
+    if not is_poisson(out.member()):
+        raise InternalConsistencyError("form-preserving member does not preserve the form")
     return out
 
 

@@ -132,6 +132,13 @@ def test_twist_not_found(tmp_path, capsys):
     )
     code, _, err = run(capsys, "twist", "--seed", str(path), "--kind", "dt", "--depth", "4")
     assert code == 3
+    assert "nodes expanded" in err and "dedup hits" in err and "peak frontier" in err
+
+
+def test_twist_negative_depth(a1_file, capsys):
+    code, _, err = run(capsys, "twist", "--seed", a1_file, "--kind", "dt", "--depth", "-1")
+    assert code == 2
+    assert "max_depth" in err
 
 
 def test_examples_all(capsys):

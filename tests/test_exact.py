@@ -180,3 +180,19 @@ def test_rank_matches_independent_elimination():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         assert Matrix(rows).rank() == independent_rank(rows)
+
+
+def test_empty_matrices_keep_their_width():
+    assert Matrix.zero(0, 3).shape == (0, 3)
+    assert Matrix.zero(3, 0).shape == (3, 0)
+    assert Matrix.identity(3).submatrix((), (0, 2)).shape == (0, 2)
+    assert Matrix.identity(3).submatrix((0, 1), ()).shape == (2, 0)
+    empty = Matrix.zero(0, 3)
+    assert empty.transpose().shape == (3, 0)
+    assert (-empty).shape == (0, 3)
+    assert (empty * Matrix.identity(3)).shape == (0, 3)
+    assert (Matrix.zero(2, 0) * empty).shape == (2, 3)
+    assert (Matrix.zero(2, 0) * empty) == Matrix.zero(2, 3)
+    assert empty != Matrix.zero(0, 2)
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]], 3)

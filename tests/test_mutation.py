@@ -17,7 +17,7 @@ from cluster_twist.mutation import (
     trans_matrix,
     verify_matrix_identities,
 )
-from cluster_twist.seeds import make_seed, mutate_b, mutate_b_along
+from cluster_twist.seeds import make_seed, mutate_b, mutate_b_along, principal_seed
 
 from conftest import random_symmetrizable_seed, random_sequence
 
@@ -233,8 +233,102 @@ def test_find_t1_examples(a1_seed, digon_seed):
 def test_find_t1_not_found():
     # the once-punctured-torus pattern admits no green-to-red sequence
     markov = make_seed([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], frozen=[])
-    with pytest.raises(NotFound):
+    with pytest.raises(NotFound) as info:
         find_t1(markov, max_depth=5)
+    # every mutation of the Markov quiver doubles its arrows' signs only, so
+    # the tree of sequences without immediate repeats is searched: 1 + 3 + 6
+    # + 12 + 24 nodes below depth 5, each of whose children undoing the
+    # parent's step is a dedup hit
+    assert str(info.value) == (
+        "no green-to-red endpoint within depth 5 "
+        "(46 nodes expanded, 45 dedup hits, peak frontier 48)"
+    )
+
+
+@pytest.mark.parametrize("depth", [-1, 1.5, "3", True])
+def test_find_t1_rejects_bad_depth(a1_seed, depth):
+    with pytest.raises(ValueError):
+        find_t1(a1_seed, max_depth=depth)
+
+
+def random_principal_seed(rng, rank):
+    """Principal-coefficient extension of a random skew-symmetrizable
+    exchange matrix of the given rank."""
+    d = [rng.choice((1, 1, 2)) for _ in range(rank)]
+    b = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            v = rng.randint(-1, 1)
+            b[i][j], b[j][i] = d[i] * v, -d[j] * v
+    return principal_seed(b, d)
+
+
+def replay(t0, seq):
+    """Degree matrices and signs along ``seq`` from the transition matrices
+    of the seeds ``mutate_b_along`` visits, independent of the trajectory
+    code."""
+    seeds = mutate_b_along(t0, seq)
+    e = f = Matrix.identity(t0.n)
+    signs = []
+    for cur, k in zip(seeds, seq):
+        cvec = [e[i, k] for i in t0.unfrozen]
+        eps = -1 if any(x < 0 for x in cvec) else 1
+        signs.append(eps)
+        e = e * trans_matrix(cur, k, eps, "N").matrix
+        f = f * trans_matrix(cur, k, eps, "M").matrix
+    return seeds, tuple(signs), e, f
+
+
+def test_extend_equals_replay():
+    rng = random.Random(4242)
+    fields = ("seq", "seeds", "signs", "e_matrix", "f_matrix")
+    for _ in range(30):
+        t0 = random_principal_seed(rng, rng.randint(2, 4))
+        seq = random_sequence(rng, t0, max_len=7)
+        traj = run_trajectory(t0, ())
+        steps = [traj]
+        for k in seq:
+            traj = traj.extend(k)
+            steps.append(traj)
+        full = run_trajectory(t0, seq)
+        for name in fields:
+            assert getattr(traj, name) == getattr(full, name), (t0, seq, name)
+        seeds, signs, e, f = replay(t0, seq)
+        assert (traj.seeds, traj.signs, traj.e_matrix, traj.f_matrix) == (seeds, signs, e, f), (t0, seq)
+        # extending leaves the trajectory it started from unchanged, so a
+        # search can branch from one node
+        for length, prefix in enumerate(steps):
+            assert prefix.seq == seq[:length]
+            assert len(prefix.seeds) == length + 1
+            assert prefix.seeds == seeds[: length + 1]
+
+
+def test_extend_rejects_frozen_vertex(a1_seed):
+    with pytest.raises(ValueError):
+        run_trajectory(a1_seed, ()).extend(1)
+
+
+BIPARTITE_A4 = [[0, -1, 0, 0], [1, 0, 1, 0], [0, -1, 0, -1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "b, d, witness",
+    [
+        ([[0, 1], [-1, 0]], (1, 1), (1, 0)),
+        ([[0, 1], [-2, 0]], (1, 2), (1, 0)),
+        ([[0, 1], [-3, 0]], (1, 3), (1, 0)),
+        ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], (1, 1, 1), (2, 1, 0)),
+        (BIPARTITE_A4, (1, 1, 1, 1), (0, 2, 1, 3)),
+        ([[-x for x in row] for row in BIPARTITE_A4], (1, 1, 1, 1), (1, 0, 3, 2)),
+    ],
+    ids=["A2", "B2", "G2", "A3", "A4", "A4-opposite"],
+)
+def test_find_t1_witness_pinned(b, d, witness):
+    # pins the breadth-first order: the first green-to-red sequence found
+    w = find_t1(principal_seed(b, d))
+    assert w.seq == witness
+    assert w.sigma.is_identity()
+    assert w.trajectory.signs == (1,) * len(witness)
 
 
 def test_pushforward_inverts_pullback(a1_seed):
@@ -243,3 +337,13 @@ def test_pushforward_inverts_pullback(a1_seed):
     down = pullback_sequence(f, seeds, (0,), "A")
     up = pushforward_sequence(down, seeds, (0,), "A")
     assert up == RationalExpr(f)
+
+
+def test_sequences_reject_seeds_off_the_path(a1_seed):
+    # a1_seed is not its own mutation at 0, so [a1_seed, a1_seed] is no path
+    seeds = [a1_seed, a1_seed]
+    f = LaurentPoly(a1_seed, {(1, 1): 2, (0, 1): 1})
+    with pytest.raises(ValueError):
+        pullback_sequence(f, seeds, (0,), "A")
+    with pytest.raises(ValueError):
+        pushforward_sequence(f, seeds, (0,), "A")

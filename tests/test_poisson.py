@@ -4,7 +4,7 @@ import pytest
 
 from cluster_twist.exact import Infeasible, Matrix
 from cluster_twist.laurent import LaurentPoly, RationalExpr
-from cluster_twist.mutation import mutate_expr, run_trajectory
+from cluster_twist.mutation import mutate_expr, run_trajectory, trans_matrix
 from cluster_twist.poisson import (
     LambdaForm,
     check_lambda_omega_link,
@@ -68,7 +68,10 @@ def test_mutate_lambda_randomized():
         except Infeasible:
             continue
         k = rng.choice(seed.unfrozen)
-        out = mutate_lambda(form, seed, k)  # asserts sign-independence inside
+        out = mutate_lambda(form, seed, k)
+        for eps in (1, -1):  # the transported form does not depend on the sign
+            pm = trans_matrix(seed, k, eps, "M").matrix
+            assert pm.transpose() * form.lam * pm == out.lam, (seed, k, eps)
         assert out.lam.transpose() == -out.lam
         back = mutate_lambda(out, mutate_b(seed, k), k)
         assert back.lam == form.lam

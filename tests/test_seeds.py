@@ -49,14 +49,43 @@ def test_mutate_b_examples(a1_seed, digon_seed):
     assert mutate_b(mutate_b(a1_seed, 0), 0).b == a1_seed.b
 
 
+def mutate_b_at_sign(seed, k, eps):
+    """Exchange-matrix mutation written at the sign convention ``eps``."""
+    b = seed.b
+    return Matrix(
+        [
+            [
+                -b[i, j] if k in (i, j) else b[i, j] + b[i, k] * max(eps * b[k, j], 0) + max(-eps * b[i, k], 0) * b[k, j]
+                for j in range(seed.n)
+            ]
+            for i in range(seed.n)
+        ]
+    )
+
+
+def assert_sign_independent(seed):
+    """Both sign conventions give the library's mutation at every vertex."""
+    for k in seed.unfrozen:
+        out = mutate_b(seed, k).b
+        assert out == mutate_b_at_sign(seed, k, 1) == mutate_b_at_sign(seed, k, -1), (seed, k)
+
+
 def test_mutate_b_randomized_properties():
     rng = random.Random(77)
     for _ in range(60):
         seed = random_symmetrizable_seed(rng, spread=3)
         k = rng.choice(seed.unfrozen)
-        out = mutate_b(seed, k)  # internally asserts sign-independence
+        out = mutate_b(seed, k)
         assert validate(out).ok  # symmetrized skewness is preserved
         assert mutate_b(out, k).b == seed.b
+        assert_sign_independent(seed)
+        assert_sign_independent(out)
+
+
+def test_mutate_b_sign_independent_on_corpus(corpus):
+    for seed, seq in corpus:
+        for cur in mutate_b_along(seed, seq):
+            assert_sign_independent(cur)
 
 
 def test_mutate_b_rejects_frozen(a1_seed):

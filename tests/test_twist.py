@@ -6,7 +6,7 @@ import pytest
 from cluster_twist.exact import Matrix
 from cluster_twist.laurent import LaurentPoly, RationalExpr, pointed_decompose
 from cluster_twist.mutation import expand_cluster_variable, run_trajectory
-from cluster_twist.seeds import find_similarities, mutate_b_along
+from cluster_twist.seeds import find_similarities, make_seed, mutate_b_along
 from cluster_twist.twist import (
     apply_twist,
     build_dt_twist,
@@ -256,3 +256,26 @@ def test_verify_twist_poisson_sl3_both_sides(sl3_seed):
     assert rep_a["ok"]
     rep_x = verify_twist(pair.tw_x, check_poisson=True, check_p_commutation=True)
     assert rep_x["ok"]
+
+
+@pytest.mark.parametrize(
+    "b, seq",
+    [([[0, 1], [-1, 0]], (1, 0)), ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], (2, 1, 0))],
+    ids=["rank-2", "linear-A3"],
+)
+def test_dt_twist_without_frozen_vertices(b, seq):
+    seed = make_seed(b)
+    pair = build_dt_twist(seed)
+    assert pair.trajectory.seq == seq
+    full_rank = len(b) % 2 == 0  # a skew matrix of odd size is singular
+    assert (pair.lam_base is not None) == full_rank
+    rep_x = verify_twist(pair.tw_x, check_poisson=True, check_p_commutation=True, check_homomorphism=3)
+    assert rep_x["ok"], rep_x
+    rep_a = verify_twist(
+        pair.tw_a,
+        check_poisson=full_rank,
+        lam=pair.lam_base,
+        check_p_commutation=True,
+        check_homomorphism=3,
+    )
+    assert rep_a["ok"], rep_a

@@ -10,6 +10,7 @@ from cluster_twist.poisson import solve_compatible_lambda, transport_lambda
 from cluster_twist.seeds import (
     find_similarities,
     identity_witness,
+    make_seed,
     mutate_b,
     mutate_b_along,
 )
@@ -335,3 +336,18 @@ def test_family_rejects_unknown_parameters(a1_seed):
     fam = solve_M_variation(a1_seed, end)
     with pytest.raises(ValueError):
         fam.matrix_at({"nu": 1})
+
+
+def test_variation_families_without_frozen_vertices():
+    # no frozen rows or columns to solve for: the family is the relabeling
+    seed = make_seed([[0, 1], [-1, 0]])
+    end = mutate_b_along(seed, (1, 0))[-1]
+    families = (
+        solve_M_variation(seed, end),
+        solve_N_variation(seed, end),
+        solve_N_variation(seed, end, poisson=True),
+    )
+    for fam in families:
+        assert fam.dim == 0
+        assert fam.particular == fam.sigma.full_matrix()
+        assert fam.member().is_variation()
