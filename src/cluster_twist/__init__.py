@@ -7,7 +7,6 @@ from .exact import (
     InternalConsistencyError,
     Matrix,
     NotFound,
-    Rat,
     integer_solution,
     integral_member,
     permutation_matrix,
@@ -74,7 +73,6 @@ from .variation import (
     VariationFamily,
     apply_variation,
     is_poisson,
-    is_variation,
     pullback,
     solve_M_variation,
     solve_N_variation,

@@ -54,8 +54,8 @@ class CliError(Exception):
 
 
 def rat_str(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    """``n`` or ``n/d``; a Fraction prints an integral value without its
+    denominator."""
     return str(x)
 
 
@@ -63,11 +63,14 @@ def rat_parse(s):
     if isinstance(s, int):
         return s
     if isinstance(s, str):
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return int(s)
-    raise CliError(f"not a rational value: {s!r}")
+        try:
+            if "/" in s:
+                num, den = s.split("/", 1)
+                return Fraction(int(num), int(den))
+            return int(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"cli: not a rational value: {s!r}") from exc
+    raise CliError(f"cli: not a rational value: {s!r}")
 
 
 def matrix_json(m: Matrix):
@@ -105,7 +108,8 @@ def _default_pretty(payload, prefix=""):
     return lines
 
 
-def load_seed(path: str) -> Seed:
+def read_seed(path: str) -> Seed:
+    """The seed a file describes, whether or not it passes ``validate``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -117,6 +121,16 @@ def load_seed(path: str) -> Seed:
         return seed_from_json(data)
     except ValueError as exc:
         raise CliError(f"seeds: {exc}") from exc
+
+
+def load_seed(path: str) -> Seed:
+    """A seed file that passes ``validate``; only seed-check reads an
+    invalid one, to report its violations."""
+    seed = read_seed(path)
+    report = validate(seed)
+    if not report.ok:
+        raise CliError(f"seeds: invalid seed: {report.first.detail}")
+    return seed
 
 
 def parse_seq(text: str, seed: Seed):
@@ -148,7 +162,7 @@ def parse_params(text: str) -> dict:
 
 
 def cmd_seed_check(args) -> int:
-    seed = load_seed(args.seed)
+    seed = read_seed(args.seed)
     report = validate(seed)
     sym = find_skew_symmetrizer(seed.b)
     fr = full_rank_check(seed)
@@ -315,9 +329,7 @@ def cmd_twist(args) -> int:
         "sigma": [[i + 1, j + 1] for i, j in spec.sigma.pairs],
         "variation": matrix_json(spec.variation.matrix),
         "images": gens,
-        "verification": {
-            k: (v if isinstance(v, bool) else v) for k, v in report.items()
-        },
+        "verification": report,
     }
     if args.kind == "principal":
         comp = principal_composite_matrices(pair)

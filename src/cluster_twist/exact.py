@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
-
 
 class ExactError(Exception):
     """Base class for errors raised by the exact-arithmetic layer."""
@@ -32,15 +30,18 @@ class InternalConsistencyError(ExactError):
     """An identity that must hold by theory failed symbolically."""
 
 
-def _norm(x):
-    """Collapse integral Fractions to int so hashing and printing stay tidy."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
+def norm_rational(x):
+    """The canonical form of a rational scalar: integral Fractions collapse
+    to int so hashing and printing stay tidy.  The one normalizer of the
+    package, for matrix entries, coefficients and exponents alike; anything
+    that is not an int or a Fraction raises ``TypeError``."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
         return x
-    raise TypeError(f"matrix entries must be rational, got {type(x).__name__}")
+    raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
 
 def _bitlen(x) -> int:
@@ -57,7 +58,7 @@ class Matrix:
     def __init__(self, rows, ncols: int | None = None):
         """``ncols`` gives the width of a matrix without rows; with rows it
         must match their length."""
-        self.rows = tuple(tuple(_norm(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(norm_rational(x) for x in row) for row in rows)
         self.nrows = len(self.rows)
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
@@ -210,7 +211,18 @@ class Matrix:
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(_norm(sum(a * b for a, b in zip(row, vec))) for row in self.rows)
+        return tuple(norm_rational(sum(a * b for a, b in zip(row, vec))) for row in self.rows)
+
+    def bilinear(self, u, v):
+        """The pairing u^T * self * v of two vectors, skipping zero entries
+        of ``u``."""
+        if len(u) != self.nrows or len(v) != self.ncols:
+            raise ValueError("vector length mismatch")
+        total = 0
+        for x, row in zip(u, self.rows):
+            if x != 0:
+                total += x * sum(r * y for r, y in zip(row, v))
+        return total
 
     def _same_shape(self, other: "Matrix"):
         if self.shape != other.shape:
@@ -242,11 +254,11 @@ class Matrix:
             piv = m[r][c]
             if piv != 1:
                 inv = Fraction(1) / piv
-                m[r] = [_norm(Fraction(x) * inv) if x != 0 else 0 for x in m[r]]
+                m[r] = [norm_rational(Fraction(x) * inv) if x != 0 else 0 for x in m[r]]
             for i in range(nr):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
-                    m[i] = [_norm(Fraction(a) - f * b) if (a != 0 or b != 0) else 0
+                    m[i] = [norm_rational(Fraction(a) - f * b) if (a != 0 or b != 0) else 0
                             for a, b in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
@@ -278,7 +290,7 @@ class Matrix:
                 if m[i][c] != 0:
                     f = Fraction(m[i][c]) / piv
                     m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return _norm(det)
+        return norm_rational(det)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -301,7 +313,7 @@ class Matrix:
             v = [0] * self.ncols
             v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = _norm(-Fraction(red.rows[r][fc]))
+                v[pc] = norm_rational(-Fraction(red.rows[r][fc]))
             basis.append(tuple(v))
         return basis
 
@@ -324,9 +336,6 @@ class IndexPartition:
         object.__setattr__(self, "frozen", fr)
         if sorted(uf + fr) != list(range(self.n)):
             raise ValueError("unfrozen and frozen must partition 0..n-1")
-
-    def is_unfrozen(self, i: int) -> bool:
-        return i in self.unfrozen
 
     @property
     def n_unfrozen(self) -> int:
@@ -378,14 +387,28 @@ class AffineSolution:
 
     def member(self, coeffs) -> Matrix:
         """particular + sum(c * basis direction) for flat coefficient list."""
-        basis = self.nullspace_basis
-        if len(coeffs) != len(basis):
-            raise ValueError("coefficient count mismatch")
-        out = self.particular
-        for c, b in zip(coeffs, basis):
-            if c != 0:
-                out = out + b.scale(c)
-        return out
+        return affine_combination(self.particular, coeffs, self.nullspace_basis)
+
+
+def affine_combination(origin: Matrix, coeffs, directions) -> Matrix:
+    """origin + sum(c * direction) over paired coefficients and directions,
+    summed entry by entry in one pass; ``origin`` itself when every
+    coefficient is zero."""
+    coeffs, directions = list(coeffs), list(directions)
+    if len(coeffs) != len(directions):
+        raise ValueError(f"expected {len(directions)} coefficients, got {len(coeffs)}")
+    for d in directions:
+        origin._same_shape(d)
+    terms = [(c, d.rows) for c, d in zip(coeffs, directions) if c != 0]
+    if not terms:
+        return origin
+    return Matrix(
+        [
+            [x + sum(c * rows[i][j] for c, rows in terms) for j, x in enumerate(row)]
+            for i, row in enumerate(origin.rows)
+        ],
+        origin.ncols,
+    )
 
 
 def solve_affine(a: Matrix, y: Matrix) -> AffineSolution:
@@ -512,9 +535,7 @@ def integral_member(particular: Matrix, basis) -> tuple:
     if not k_rows:
         # directions span everything: pick t solving V t = -x0 exactly
         sol = solve_affine(v.transpose(), Matrix([[-x for x in x0]]))
-        t = sol.particular.rows[0]
-        member_flat = [x0[i] + sum(t[k] * dirs[k][i] for k in range(len(dirs))) for i in range(n)]
-        return Matrix([member_flat[i * nc:(i + 1) * nc] for i in range(nr)]), 1
+        return affine_combination(particular, sol.particular.rows[0], basis), 1
 
     # scale constraint rows to integers
     scaled_rows = []
@@ -549,14 +570,11 @@ def integral_member(particular: Matrix, basis) -> tuple:
     z = [0] * kmat.ncols
     for i in range(min(len(diag), kmat.ncols)):
         if diag[i] != 0:
-            val = Fraction(c.rows[i][0]) * r / diag[i]
-            if val.denominator != 1:
+            z[i] = norm_rational(Fraction(c.rows[i][0]) * r / diag[i])
+            if not isinstance(z[i], int):
                 raise InternalConsistencyError("scaled diagonal solution is not integral")
-            z[i] = int(val)
-    y = w.apply(z)
-    member_flat = [Fraction(yi, r) for yi in y]
-    member = Matrix([[_norm(member_flat[i * nc + j]) for j in range(nc)] for i in range(nr)])
-    return member, r
+    member_flat = [Fraction(yi, r) for yi in w.apply(z)]
+    return Matrix([member_flat[i * nc:(i + 1) * nc] for i in range(nr)]), r
 
 
 def integer_solution(particular: Matrix, basis):

@@ -12,23 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .exact import ExactError, Matrix
+from .exact import ExactError, Matrix, norm_rational
 
 
 class DominanceUndecidable(ExactError):
     """Dominance comparisons need the exchange columns at full rank."""
-
-
-def _cnorm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _enorm(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def exp_add(a, b):
@@ -36,11 +24,11 @@ def exp_add(a, b):
 
 
 def exp_sub(a, b):
-    return tuple(_enorm(x - y) for x, y in zip(a, b))
+    return tuple(norm_rational(x - y) for x, y in zip(a, b))
 
 
 def exp_scale(a, s):
-    return tuple(_enorm(s * x) for x in a)
+    return tuple(norm_rational(s * x) for x in a)
 
 
 class LaurentPoly:
@@ -50,10 +38,10 @@ class LaurentPoly:
         self.seed = seed
         clean = {}
         for exp, coeff in (terms or {}).items():
-            coeff = _cnorm(coeff)
+            coeff = norm_rational(coeff)
             if coeff == 0:
                 continue
-            exp = tuple(_enorm(x) for x in exp)
+            exp = tuple(norm_rational(x) for x in exp)
             if len(exp) != seed.n:
                 raise ValueError("exponent length does not match the seed")
             clean[exp] = coeff
@@ -129,7 +117,7 @@ class LaurentPoly:
         self._ring_check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            nc = _cnorm(out.get(exp, 0) + c)
+            nc = norm_rational(out.get(exp, 0) + c)
             if nc == 0:
                 out.pop(exp, None)
             else:
@@ -150,7 +138,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return LaurentPoly.zero(self.seed)
-            return _mk(self.seed, {e: _cnorm(c * other) for e, c in self.terms.items()})
+            return _mk(self.seed, {e: norm_rational(c * other) for e, c in self.terms.items()})
         self._ring_check(other)
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
@@ -160,7 +148,7 @@ class LaurentPoly:
         for e2, c2 in small.items():
             for e1, c1 in big.items():
                 exp = exp_add(e1, e2)
-                nc = _cnorm(out.get(exp, 0) + c1 * c2)
+                nc = norm_rational(out.get(exp, 0) + c1 * c2)
                 if nc == 0:
                     out.pop(exp, None)
                 else:
@@ -176,7 +164,7 @@ class LaurentPoly:
             exp, c = next(iter(self.terms.items()))
             if c == 1:
                 return _mk(self.seed, {exp_scale(exp, m): 1})
-            return _mk(self.seed, {exp_scale(exp, m): _cnorm(Fraction(c) ** m)})
+            return _mk(self.seed, {exp_scale(exp, m): norm_rational(Fraction(c) ** m)})
         if m < 0:
             raise ValueError("negative power of a non-monomial")
         out = LaurentPoly.one(self.seed)
@@ -231,7 +219,7 @@ class LaurentPoly:
         out = {}
         for e, c in self.terms.items():
             ne = matrix.apply(e)
-            nc = _cnorm(out.get(ne, 0) + c)
+            nc = norm_rational(out.get(ne, 0) + c)
             if nc == 0:
                 out.pop(ne, None)
             else:
@@ -308,7 +296,7 @@ def divide_binomial(f: LaurentPoly, w_exp):
     lines = {}
     for e, c in f.terms.items():
         s = Fraction(e[t]) / wt  # signed number of w-steps from the axis
-        rep = tuple(_enorm(x - s * y) for x, y in zip(e, w))
+        rep = tuple(norm_rational(x - s * y) for x, y in zip(e, w))
         frac = s % 1
         lines.setdefault((rep, frac), {})[s] = c
     q = {}
@@ -319,8 +307,8 @@ def divide_binomial(f: LaurentPoly, w_exp):
         while s < hi_s:
             cur = steps.get(s, 0) - prev
             if cur != 0:
-                qe = tuple(_enorm(r + s * y) for r, y in zip(rep, w))
-                q[qe] = _cnorm(cur)
+                qe = tuple(norm_rational(r + s * y) for r, y in zip(rep, w))
+                q[qe] = norm_rational(cur)
             prev = cur
             s = s + 1
         if steps.get(hi_s, 0) - prev != 0:
@@ -343,7 +331,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly):
     if g.is_monomial():
         ge, gc = next(iter(g.terms.items()))
         inv = Fraction(1, 1) / gc
-        return _mk(f.seed, {exp_sub(e, ge): _cnorm(c * inv) for e, c in f.terms.items()})
+        return _mk(f.seed, {exp_sub(e, ge): norm_rational(c * inv) for e, c in f.terms.items()})
     if len(g.terms) == 2:
         (e1, c1), (e2, c2) = sorted(g.terms.items())
         if c2 == 1:
@@ -377,11 +365,11 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly):
         qe = exp_sub(fl, gl)
         if any(x < l or x > h for x, l, h in zip(qe, lo, hi)):
             return None
-        qc = _cnorm(Fraction(flc) / glc)
+        qc = norm_rational(Fraction(flc) / glc)
         q[qe] = qc
         for e, c in rest:
             key = exp_add(qe, e)
-            nc = _cnorm(work.get(key, 0) - qc * c)
+            nc = norm_rational(work.get(key, 0) - qc * c)
             if nc == 0:
                 work.pop(key, None)
             else:
@@ -412,10 +400,6 @@ class RationalExpr:
         if normalize:
             self._normalize()
 
-    @classmethod
-    def from_poly(cls, poly: LaurentPoly):
-        return cls(poly)
-
     @property
     def seed(self):
         return self.num.seed
@@ -428,7 +412,7 @@ class RationalExpr:
         if den.is_monomial():
             e, c = next(iter(den.terms.items()))
             inv = Fraction(1, 1) / c
-            self.num = _mk(num.seed, {exp_sub(t, e): _cnorm(k * inv) for t, k in num.terms.items()})
+            self.num = _mk(num.seed, {exp_sub(t, e): norm_rational(k * inv) for t, k in num.terms.items()})
             self.den = LaurentPoly.one(num.seed)
             return
         shift = den.min_exponents()
@@ -504,6 +488,14 @@ class RationalExpr:
 
     def root_denominator(self):
         return lcm(self.num.root_denominator(), self.den.root_denominator())
+
+    def substitute_monomial(self, matrix: Matrix, target_seed):
+        """Monomial map on exponents, X^n -> Y^(matrix @ n), applied to the
+        numerator and the denominator."""
+        return RationalExpr(
+            self.num.substitute_monomial(matrix, target_seed),
+            self.den.substitute_monomial(matrix, target_seed),
+        )
 
     def render(self, symbol="X"):
         if self.den.is_one():

@@ -116,69 +116,45 @@ def _image_exponent_map(seed: Seed, k: int, side: str):
     return act
 
 
-def _pullback_poly_factored(poly: LaurentPoly, seed: Seed, k: int, side: str):
-    """Image of a polynomial over mu_k(seed) in the fraction field of seed.
+def _expand_binomials(expr: RationalExpr, seed: Seed, act, power_row, base_exp):
+    """The binomial-expansion kernel of mutations and their flows.
 
-    Returns (numerator, power, base) with the value equal to
-    numerator / (1 + X^base)^power.
+    Sends each monomial X^e of the numerator and the denominator to
+    X^act(e) * (1 + X^base_exp)^p(e), where p(e) = power_row . e must be
+    integral, and returns (numerator, denominator) over ``seed`` with the
+    negative powers of the binomial moved to the other side.  ``act=None``
+    keeps exponents as they are.
     """
-    n = seed.n
-    act = _image_exponent_map(seed, k, side)
-    if side == "X":
-        base_exp = tuple(1 if i == k else 0 for i in range(n))
-        brow = seed.b.row(k)
-
-        def binom_pow(exp):
-            p = -sum(b * x for b, x in zip(brow, exp) if b)
+    weights = [(i, r) for i, r in enumerate(power_row) if r]
+    parts = []
+    for poly in (expr.num, expr.den):
+        by_power = {}
+        low = 0
+        for e, c in poly.terms.items():
+            p = sum(r * e[i] for i, r in weights)
             if not isinstance(p, int):
-                raise ValueError("X-side mutation needs integral unfrozen data")
-            return p
-
-    elif side == "A":
-        base_exp = p_star(seed, tuple(1 if i == k else 0 for i in range(n)))
-
-        def binom_pow(exp):
-            p = exp[k]
-            if not isinstance(p, int):
-                raise ValueError("unfrozen exponent must be integral")
-            return p
-
-    else:
-        raise ValueError("side must be 'A' or 'X'")
-
-    if poly.is_zero():
-        return LaurentPoly.zero(seed), 0, base_exp
-    by_power = {}
-    low = None
-    for exp, c in poly.terms.items():
-        p = binom_pow(exp)
-        by_power.setdefault(p, []).append((act(exp), c))
-        if low is None or p < low:
-            low = p
-    shift = min(low, 0)
-    out = {}
-    for p, terms in by_power.items():
-        m = p - shift
-        if m == 0:
+                raise ValueError("binomial power of a mutation must be integral")
+            by_power.setdefault(p, []).append((e if act is None else act(e), c))
+            if p < low:
+                low = p
+        out = {}
+        for p, terms in by_power.items():
+            coeffs = [comb(p - low, j) for j in range(p - low + 1)]
             for e, c in terms:
-                nc = out.get(e, 0) + c
-                if nc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = nc
-            continue
-        coeffs = [comb(m, j) for j in range(m + 1)]
-        for e, c in terms:
-            cur = e
-            for j in range(m + 1):
-                key = cur if j == 0 else tuple(x + j * y for x, y in zip(e, base_exp))
-                nc = out.get(key, 0) + c * coeffs[j]
-                if nc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = nc
-    num = LaurentPoly(seed, out, validate=False)
-    return num, -shift, base_exp
+                for j, b in enumerate(coeffs):
+                    key = e if j == 0 else tuple(x + j * y for x, y in zip(e, base_exp))
+                    nc = out.get(key, 0) + c * b
+                    if nc == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = nc
+        parts.append((LaurentPoly(seed, out, validate=False), -low))
+    (num, pnum), (den, pden) = parts
+    if pden > pnum:
+        num = num * binomial_power(seed, base_exp, pden - pnum)
+    elif pnum > pden:
+        den = den * binomial_power(seed, base_exp, pnum - pden)
+    return num, den
 
 
 def mutate_expr(expr, seed: Seed, k: int, side: str) -> RationalExpr:
@@ -187,18 +163,19 @@ def mutate_expr(expr, seed: Seed, k: int, side: str) -> RationalExpr:
     Accepts a Laurent polynomial or a rational expression whose ambient
     seed equals mu_k(seed).
     """
+    if side not in ("A", "X"):
+        raise ValueError("side must be 'A' or 'X'")
     target = mutate_b(seed, k)
     if isinstance(expr, LaurentPoly):
         expr = RationalExpr(expr)
     if expr.seed != target:
         raise ValueError("expression does not live over the mutated seed")
-    num, pnum, base_exp = _pullback_poly_factored(expr.num, seed, k, side)
-    den, pden, _ = _pullback_poly_factored(expr.den, seed, k, side)
-    # balance the binomial powers between numerator and denominator
-    if pden > pnum:
-        num = num * binomial_power(seed, base_exp, pden - pnum)
-    elif pnum > pden:
-        den = den * binomial_power(seed, base_exp, pnum - pden)
+    unit = tuple(1 if i == k else 0 for i in range(seed.n))
+    if side == "X":
+        power_row, base_exp = tuple(-b for b in seed.b.row(k)), unit
+    else:
+        power_row, base_exp = unit, p_star(seed, unit)
+    num, den = _expand_binomials(expr, seed, _image_exponent_map(seed, k, side), power_row, base_exp)
     # clear shared binomial factors introduced by the step
     while not den.is_monomial():
         qn = divide_binomial(num, base_exp)
@@ -209,16 +186,6 @@ def mutate_expr(expr, seed: Seed, k: int, side: str) -> RationalExpr:
             break
         num, den = qn, qd
     return RationalExpr(num, den)
-
-
-def mutate_poly(poly: LaurentPoly, seed: Seed, k: int, side: str) -> LaurentPoly:
-    """mutate_expr for inputs whose image must clear to a Laurent polynomial."""
-    out = mutate_expr(poly, seed, k, side)
-    if not out.is_laurent():
-        raise InternalConsistencyError(
-            "mutation image failed to be a Laurent polynomial"
-        )
-    return out.as_poly()
 
 
 def pullback_sequence(expr, seeds: list, seq, side: str) -> RationalExpr:
@@ -263,10 +230,7 @@ def psi_expr(expr, tm: TransitionMatrix):
         expr = RationalExpr(expr)
     if expr.seed != tm.target:
         raise ValueError("expression does not live over the transition's target seed")
-    return RationalExpr(
-        expr.num.substitute_monomial(tm.matrix, tm.source),
-        expr.den.substitute_monomial(tm.matrix, tm.source),
-    )
+    return expr.substitute_monomial(tm.matrix, tm.source)
 
 
 def rho_expr(expr, seed: Seed, k: int, eps: int, side: str, inverse: bool = False):
@@ -279,51 +243,13 @@ def rho_expr(expr, seed: Seed, k: int, eps: int, side: str, inverse: bool = Fals
         expr = RationalExpr(expr)
     if expr.seed != seed:
         raise ValueError("expression does not live over the given seed")
-    n = seed.n
     flip = -1 if inverse else 1
+    unit = tuple(1 if i == k else 0 for i in range(seed.n))
     if side == "X":
-        base_exp = tuple(eps if i == k else 0 for i in range(n))
-        brow = seed.b.row(k)
-
-        def power(exp):
-            return -flip * sum(b * x for b, x in zip(brow, exp))
-
+        power_row, base_exp = tuple(-flip * b for b in seed.b.row(k)), exp_scale(unit, eps)
     else:
-        base_exp = exp_scale(p_star(seed, tuple(1 if i == k else 0 for i in range(n))), eps)
-
-        def power(exp):
-            return -flip * exp[k]
-
-    def act(poly):
-        by_power = {}
-        low = 0
-        for exp, c in poly.terms.items():
-            p = power(exp)
-            if not isinstance(p, int):
-                raise ValueError("flow exponent must be integral")
-            by_power.setdefault(p, []).append((exp, c))
-            low = min(low, p)
-        out = {}
-        for p, terms in by_power.items():
-            m = p - low
-            coeffs = [comb(m, j) for j in range(m + 1)]
-            for e, c in terms:
-                for j in range(m + 1):
-                    key = e if j == 0 else tuple(x + j * y for x, y in zip(e, base_exp))
-                    nc = out.get(key, 0) + c * coeffs[j]
-                    if nc == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nc
-        return LaurentPoly(seed, out, validate=False), -low
-
-    nnum, pn = act(expr.num)
-    nden, pd = act(expr.den)
-    if pd > pn:
-        nnum = nnum * binomial_power(seed, base_exp, pd - pn)
-    elif pn > pd:
-        nden = nden * binomial_power(seed, base_exp, pn - pd)
-    return RationalExpr(nnum, nden)
+        power_row, base_exp = exp_scale(unit, -flip), exp_scale(p_star(seed, unit), eps)
+    return RationalExpr(*_expand_binomials(expr, seed, None, power_row, base_exp))
 
 
 def hamiltonian_decompose_check(seed: Seed, k: int, eps: int, side: str) -> dict:
@@ -390,10 +316,6 @@ class SeedTrajectory:
     def g_matrix(self) -> Matrix:
         uf = self.initial.unfrozen
         return self.f_matrix.submatrix(uf, uf)
-
-    @property
-    def e_high(self) -> Matrix:
-        return self.e_matrix.submatrix(self.initial.unfrozen, self.initial.frozen)
 
     @property
     def f_low(self) -> Matrix:

@@ -23,13 +23,7 @@ class OmegaForm:
     w: Matrix
 
     def pairing(self, n1, n2):
-        total = 0
-        for i, x in enumerate(n1):
-            if x == 0:
-                continue
-            row = self.w.rows[i]
-            total += x * sum(r * y for r, y in zip(row, n2))
-        return total
+        return self.w.bilinear(n1, n2)
 
 
 @dataclass(frozen=True)
@@ -47,13 +41,7 @@ class LambdaForm:
         return tuple(Fraction(self.alpha, self.seed.d[k]) for k in self.seed.unfrozen)
 
     def pairing(self, m1, m2):
-        total = 0
-        for i, x in enumerate(m1):
-            if x == 0:
-                continue
-            row = self.lam.rows[i]
-            total += x * sum(r * y for r, y in zip(row, m2))
-        return total
+        return self.lam.bilinear(m1, m2)
 
 
 def omega_from_seed(seed: Seed) -> OmegaForm:
@@ -242,9 +230,7 @@ def poisson_bracket(f, g, form) -> RationalExpr:
     # monomial fast path reproducing the defining formula exactly
     if f.den.is_one() and g.den.is_one() and f.num.is_monomial() and g.num.is_monomial():
         (e1, c1), (e2, c2) = next(iter(f.num.terms.items())), next(iter(g.num.terms.items()))
-        coeff = sum(
-            x * sum(r * y for r, y in zip(cmat.rows[i], e2)) for i, x in enumerate(e1) if x != 0
-        )
+        coeff = cmat.bilinear(e1, e2)
         return RationalExpr(LaurentPoly(seed, {exp_add(e1, e2): c1 * c2 * coeff}, validate=False))
 
     n = seed.n

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .exact import norm_rational
 from .laurent import LaurentPoly, exp_add
 from .poisson import LambdaForm, OmegaForm, poisson_bracket
 
@@ -21,10 +22,7 @@ class VPoly:
     def __init__(self, terms=None):
         clean = {}
         for e, c in (terms or {}).items():
-            if isinstance(e, Fraction) and e.denominator == 1:
-                e = int(e)
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
+            e, c = norm_rational(e), norm_rational(c)
             if c == 0:
                 continue
             clean[e] = clean.get(e, 0) + c
@@ -94,11 +92,9 @@ class VPoly:
         """v -> w^l, turning all exponents integral for l a common multiple."""
         out = {}
         for e, c in self.terms.items():
-            ne = e * l
-            if isinstance(ne, Fraction):
-                if ne.denominator != 1:
-                    raise ValueError("substitution does not clear the exponents")
-                ne = int(ne)
+            ne = norm_rational(e * l)
+            if not isinstance(ne, int):
+                raise ValueError("substitution does not clear the exponents")
             out[ne] = c
         return VPoly(out)
 

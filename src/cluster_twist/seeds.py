@@ -34,6 +34,8 @@ class Seed:
             raise ValueError(f"exchange matrix must be {n}x{n}")
         if len(self.d) != n:
             raise ValueError("one skew-symmetrizer per index required")
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError("one label per index required")
 
     # -- accessors ------------------------------------------------------
 
@@ -366,7 +368,7 @@ def seed_from_json(data: dict) -> Seed:
     try:
         n = int(data["n"])
         frozen_1b = [int(x) for x in data.get("frozen", [])]
-        b_rows = data["B"]
+        b_rows = Matrix(data["B"]).rows
         d = [int(x) for x in data["d"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed seed JSON: {exc}") from exc
@@ -374,6 +376,8 @@ def seed_from_json(data: dict) -> Seed:
         if not 1 <= x <= n:
             raise ValueError(f"frozen index {x} out of range 1..{n}")
     labels = data.get("labels")
+    if labels is not None and (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)):
+        raise ValueError("labels must be a list of strings")
     seed = make_seed(b_rows, frozen=[x - 1 for x in frozen_1b], d=d, labels=labels)
     if seed.n != n:
         raise ValueError("declared n does not match the matrix size")

@@ -51,7 +51,12 @@ class TwistSpec:
 def make_twist(base: Seed, seq, variation, kind: str = "custom") -> TwistSpec:
     """Assemble and sanity-check a twist from its path and variation."""
     seq = tuple(seq)
-    seeds = mutate_b_along(base, seq)
+    return _twist_along(mutate_b_along(base, seq), seq, variation, kind)
+
+
+def _twist_along(seeds: list, seq: tuple, variation, kind: str) -> TwistSpec:
+    """``make_twist`` on the seeds of the path, already computed."""
+    base = seeds[0]
     if variation.source != base:
         raise ValueError("variation must start at the base seed")
     if variation.target != seeds[-1]:
@@ -61,7 +66,7 @@ def make_twist(base: Seed, seq, variation, kind: str = "custom") -> TwistSpec:
         raise ValueError("X-side twists need an integer variation matrix")
     if not variation.is_variation():
         raise ValueError("the supplied map is not a variation map")
-    return TwistSpec(base, seeds[-1], seq, variation.sigma, side, variation, kind, seeds)
+    return TwistSpec(base, seeds[-1], seq, variation.sigma, side, variation, kind, list(seeds))
 
 
 def apply_twist(spec: TwistSpec, expr):
@@ -100,16 +105,6 @@ def twist_roundtrip(spec: TwistSpec, inverse: TwistSpec, expr):
     lifted = relabel_expr(pushforward_sequence(once, spec.seeds, spec.seq, spec.side), inverse.base)
     back = apply_twist(inverse, lifted)
     return pullback_sequence(relabel_expr(back, spec.seeds[-1]), spec.seeds, spec.seq, spec.side)
-
-
-def p_star_expr(seed: Seed, expr):
-    """Monomial map on expressions induced by the exchange matrix."""
-    if isinstance(expr, LaurentPoly):
-        return expr.substitute_monomial(seed.b, seed)
-    return RationalExpr(
-        expr.num.substitute_monomial(seed.b, seed),
-        expr.den.substitute_monomial(seed.b, seed),
-    )
 
 
 def partner_twist(spec: TwistSpec) -> TwistSpec:
@@ -164,8 +159,8 @@ def build_dt_twist(t: Seed, max_depth: int = 12, lam: LambdaForm | None = None, 
         lam_end = transport_lambda(lam_base, traj.seq)[-1]
         if not is_poisson(var_m, lam_base, lam_end):
             raise InternalConsistencyError("A-degree variation does not preserve the compatible form")
-    tw_a = make_twist(t, traj.seq, var_m, kind="dt")
-    tw_x = make_twist(t, traj.seq, var_n, kind="dt")
+    tw_a = _twist_along(traj.seeds, traj.seq, var_m, "dt")
+    tw_x = _twist_along(traj.seeds, traj.seq, var_n, "dt")
     return TwistPair(tw_a, tw_x, lam_base, lam_end, traj)
 
 
@@ -218,8 +213,8 @@ def build_principal_twist(t0: Seed, seq, alpha: int | None = None) -> TwistPair:
         raise InternalConsistencyError("principal X-degree variation does not preserve the skew form")
     if var_m.matrix * t0.b != end.b * var_n.matrix:
         raise InternalConsistencyError("variations do not intertwine the exchange maps")
-    tw_a = make_twist(t0, tuple(seq), var_m, kind="principal")
-    tw_x = make_twist(t0, tuple(seq), var_n, kind="principal")
+    tw_a = _twist_along(traj.seeds, traj.seq, var_m, "principal")
+    tw_x = _twist_along(traj.seeds, traj.seq, var_n, "principal")
     return TwistPair(tw_a, tw_x, lam_base, lam_end, traj)
 
 
@@ -336,7 +331,7 @@ def p_commutation_check(spec: TwistSpec) -> bool:
     base = spec.base
     for j in range(base.n):
         xg = LaurentPoly.generator(base, j)
-        lhs = p_star_expr(base, apply_twist(tw_x, xg))
+        lhs = apply_twist(tw_x, xg).substitute_monomial(base.b, base)
         rhs = apply_twist(tw_a, LaurentPoly.monomial(base, base.b.col(j)))
         if lhs != rhs:
             return False

@@ -10,9 +10,16 @@ through mutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .exact import ExactError, Infeasible, InternalConsistencyError, Matrix, integral_member, solve_affine
+from .exact import (
+    ExactError,
+    Infeasible,
+    InternalConsistencyError,
+    Matrix,
+    affine_combination,
+    integral_member,
+    solve_affine,
+)
 from .laurent import LaurentPoly, RationalExpr
 from .mutation import mutate_expr, trans_matrix
 from .poisson import LambdaForm, omega_from_seed
@@ -36,23 +43,46 @@ def _sigma_or_first(source: Seed, target: Seed, sigma):
 
 
 @dataclass(frozen=True)
-class MVariation:
-    """Linear map on A-degrees: unfrozen degree vectors go to their
-    relabeled counterparts plus frozen corrections, exchange columns map
-    onto exchange columns."""
+class VariationMap:
+    """A linear map between the degree lattices of two similar seeds that
+    relabels the unfrozen directions by ``sigma``; ``MVariation`` and
+    ``NVariation`` fix the lattice and the variation condition."""
 
     source: Seed
     target: Seed
     sigma: SimilarityWitness
     matrix: Matrix
 
+    def __post_init__(self):
+        n = self.source.n
+        if self.matrix.shape != (n, n):
+            raise ValueError("variation matrix has the wrong shape")
+
+    @property
+    def root_denominator(self) -> int:
+        return self.matrix.denominator_lcm()
+
+    def is_invertible(self) -> bool:
+        return self.matrix.submatrix(self.target.frozen, self.source.frozen).det() != 0
+
+    def inverse(self):
+        return type(self)(self.target, self.source, self.sigma.inverse(), self.matrix.inverse())
+
+    def apply(self, expr):
+        return apply_variation(self, expr)
+
+
+class MVariation(VariationMap):
+    """Linear map on A-degrees: unfrozen degree vectors go to their
+    relabeled counterparts plus frozen corrections, exchange columns map
+    onto exchange columns."""
+
     side = "M"
 
     def __post_init__(self):
+        super().__post_init__()
         V = self.matrix
         n = self.source.n
-        if V.shape != (n, n):
-            raise ValueError("variation matrix has the wrong shape")
         for k in self.source.unfrozen:
             img = self.sigma.image(k)
             for r in range(n):
@@ -79,45 +109,23 @@ class MVariation:
     def u_f(self) -> Matrix:
         return self.matrix.submatrix(self.target.frozen, self.source.frozen)
 
-    @property
-    def root_denominator(self) -> int:
-        return self.matrix.denominator_lcm()
-
     def is_variation(self) -> bool:
         lhs = self.matrix * self.source.b_tilde()
         rhs = self.target.b_tilde() * self.sigma.uf_matrix()
         return lhs == rhs
 
-    def is_invertible(self) -> bool:
-        return self.u_f.det() != 0
 
-    def inverse(self) -> "MVariation":
-        return MVariation(
-            self.target, self.source, self.sigma.inverse(), self.matrix.inverse()
-        )
-
-    def apply(self, expr):
-        return apply_variation(self, expr)
-
-
-@dataclass(frozen=True)
-class NVariation:
+class NVariation(VariationMap):
     """Linear map on X-degrees with the dual triangular shape; a variation
     map when it preserves the canonical skew pairing against unfrozen
     directions."""
 
-    source: Seed
-    target: Seed
-    sigma: SimilarityWitness
-    matrix: Matrix
-
     side = "N"
 
     def __post_init__(self):
+        super().__post_init__()
         V = self.matrix
         n = self.source.n
-        if V.shape != (n, n):
-            raise ValueError("variation matrix has the wrong shape")
         for k in self.source.unfrozen:
             img = self.sigma.image(k)
             for r in range(n):
@@ -133,10 +141,6 @@ class NVariation:
     def v_f(self) -> Matrix:
         return self.matrix.submatrix(self.target.frozen, self.source.frozen)
 
-    @property
-    def root_denominator(self) -> int:
-        return self.matrix.denominator_lcm()
-
     def is_variation(self) -> bool:
         w_s = omega_from_seed(self.source).w
         w_t = omega_from_seed(self.target).w
@@ -144,21 +148,6 @@ class NVariation:
         return all(
             prod[i, k] == w_s[i, k] for i in range(self.source.n) for k in self.source.unfrozen
         )
-
-    def is_invertible(self) -> bool:
-        return self.v_f.det() != 0
-
-    def inverse(self) -> "NVariation":
-        return NVariation(
-            self.target, self.source, self.sigma.inverse(), self.matrix.inverse()
-        )
-
-    def apply(self, expr):
-        return apply_variation(self, expr)
-
-
-def is_variation(var) -> bool:
-    return var.is_variation()
 
 
 def is_poisson(var, lam_source: LambdaForm | None = None, lam_target: LambdaForm | None = None) -> bool:
@@ -196,11 +185,7 @@ def pullback(var):
 
 def apply_variation(var, expr):
     """Monomial substitution on exponents by the variation matrix."""
-    if isinstance(expr, RationalExpr):
-        num = apply_variation(var, expr.num)
-        den = apply_variation(var, expr.den)
-        return RationalExpr(num, den)
-    if not isinstance(expr, LaurentPoly):
+    if not isinstance(expr, (LaurentPoly, RationalExpr)):
         raise TypeError("expected a Laurent polynomial or rational expression")
     if expr.seed != var.source:
         raise ValueError("expression does not live over the variation's source seed")
@@ -239,17 +224,13 @@ class VariationFamily:
             if unknown:
                 raise ValueError(f"unknown parameters {sorted(unknown)}; family has {list(names)}")
             coeffs = [coeffs.get(name, 0) for name in names]
-        coeffs = list(coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError(f"expected {self.dim} parameters")
-        out = self.particular
-        for c, b in zip(coeffs, self.basis):
-            if c != 0:
-                out = out + b.scale(c)
-        return out
+        return affine_combination(self.particular, coeffs, self.basis)
 
     def member(self, coeffs=None):
         mat = self.particular if coeffs is None else self.matrix_at(coeffs)
+        return self._variation(mat)
+
+    def _variation(self, mat: Matrix) -> VariationMap:
         cls = MVariation if self.kind == "M" else NVariation
         return cls(self.source, self.target, self.sigma, mat)
 
@@ -273,69 +254,7 @@ class VariationFamily:
     def integral_refinement(self):
         """Member with the smallest achievable exponent denominator."""
         mat, r = integral_member(self.particular, self.basis)
-        cls = MVariation if self.kind == "M" else NVariation
-        return cls(self.source, self.target, self.sigma, mat), r
-
-    def v_f_determinant_poly(self):
-        """det of the frozen-by-frozen block as a polynomial in the family
-        parameters, returned as {exponent tuple: coefficient}."""
-        fr_t = self.target.frozen
-        fr_s = self.source.frozen
-        m = len(fr_s)
-        dim = self.dim
-
-        def entry(i, j):
-            # affine polynomial as {exp: coeff}
-            poly = {}
-            c0 = self.particular[fr_t[i], fr_s[j]]
-            if c0:
-                poly[(0,) * dim] = c0
-            for a, b in enumerate(self.basis):
-                cb = b[fr_t[i], fr_s[j]]
-                if cb:
-                    e = [0] * dim
-                    e[a] = 1
-                    poly[tuple(e)] = poly.get(tuple(e), 0) + cb
-            return poly
-
-        def pmul(p, q):
-            out = {}
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    nc = out.get(e, 0) + c1 * c2
-                    if nc == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = nc
-            return out
-
-        det = {}
-        for perm in permutations(range(m)):
-            sign = 1
-            seen = [False] * m
-            p = list(perm)
-            for i in range(m):
-                if seen[i]:
-                    continue
-                j = i
-                length = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            term = {(0,) * dim: sign}
-            for i in range(m):
-                term = pmul(term, entry(i, perm[i]))
-            for e, c in term.items():
-                nc = det.get(e, 0) + c
-                if nc == 0:
-                    det.pop(e, None)
-                else:
-                    det[e] = nc
-        return det
+        return self._variation(mat), r
 
 
 def _frozen_rows(n: int, frozen: tuple, block: Matrix) -> Matrix:
@@ -433,14 +352,6 @@ def _poisson_filter(fam: VariationFamily, w_s: Matrix, w_t: Matrix) -> Variation
     p_cols = {j: fam.particular.col(j) for j in fr}
     z_cols = [{j: b.col(j) for j in fr} for b in fam.basis]
 
-    def wpair(u, v):
-        total = 0
-        for i, x in enumerate(u):
-            if x == 0:
-                continue
-            total += x * sum(r * y for r, y in zip(w_t.rows[i], v))
-        return total
-
     lin_rows = []
     consts = []
     for ii in range(len(fr)):
@@ -448,21 +359,19 @@ def _poisson_filter(fam: VariationFamily, w_s: Matrix, w_t: Matrix) -> Variation
             i, j = fr[ii], fr[jj]
             for a in range(dim):
                 for b in range(a, dim):
-                    q = wpair(z_cols[a][i], z_cols[b][j])
+                    q = w_t.bilinear(z_cols[a][i], z_cols[b][j])
                     if a != b:
-                        q += wpair(z_cols[b][i], z_cols[a][j])
-                    else:
-                        q = wpair(z_cols[a][i], z_cols[a][j])
+                        q += w_t.bilinear(z_cols[b][i], z_cols[a][j])
                     if q != 0:
                         raise NotAffineFamily(
                             "form-preservation is quadratic on this family"
                         )
             row = [
-                wpair(z_cols[a][i], p_cols[j]) + wpair(p_cols[i], z_cols[a][j])
+                w_t.bilinear(z_cols[a][i], p_cols[j]) + w_t.bilinear(p_cols[i], z_cols[a][j])
                 for a in range(dim)
             ]
             lin_rows.append(row)
-            consts.append(w_s[i, j] - wpair(p_cols[i], p_cols[j]))
+            consts.append(w_s[i, j] - w_t.bilinear(p_cols[i], p_cols[j]))
     if not lin_rows:
         return fam
     if dim == 0:
@@ -476,13 +385,7 @@ def _poisson_filter(fam: VariationFamily, w_s: Matrix, w_t: Matrix) -> Variation
         raise Infeasible("no form-preserving member exists") from exc
     t0 = sol.particular.rows[0]
     new_particular = fam.matrix_at(t0)
-    new_basis = []
-    for vec in sol.kernel_rows:
-        direction = Matrix.zero(n, n)
-        for c, b in zip(vec, fam.basis):
-            if c != 0:
-                direction = direction + b.scale(c)
-        new_basis.append(direction)
+    new_basis = [affine_combination(Matrix.zero(n, n), vec, fam.basis) for vec in sol.kernel_rows]
     out = VariationFamily(
         fam.kind, fam.source, fam.target, fam.sigma, new_particular, new_basis,
         extra_filters=fam.extra_filters + ("poisson",),
@@ -508,9 +411,8 @@ def transport(var, k: int):
     kk = var.sigma.image(k)
     s2 = mutate_b(var.source, k)
     t2 = mutate_b(var.target, kk)
-    letter = "M" if isinstance(var, MVariation) else "N"
-    p_src = trans_matrix(var.source, k, 1, letter).matrix
-    p_tgt = trans_matrix(var.target, kk, 1, letter).matrix
+    p_src = trans_matrix(var.source, k, 1, var.side).matrix
+    p_tgt = trans_matrix(var.target, kk, 1, var.side).matrix
     new_mat = p_tgt * var.matrix * p_src
     new_sigma = SimilarityWitness(s2, t2, var.sigma.pairs)
     cls = type(var)

@@ -51,6 +51,36 @@ def test_seed_check_invalid(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "frozen": [], "B": [[0, 1], [1, 0]], "d": [1, 1]}))
     code, out, err = run(capsys, "seed-check", "--seed", str(path))
     assert code == 2
+    # seed-check reports the violations the other subcommands refuse
+    path.write_text(json.dumps(BAD_SEEDS["d-not-symmetrizing"]))
+    code, out, err = run(capsys, "seed-check", "--seed", str(path), "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert not payload["valid"] and payload["violations"][0]["kind"] == "skew-symmetry"
+
+
+BAD_SEEDS = {
+    "float-entry": {"n": 2, "frozen": [2], "B": [[0, 1.5], [-1, 0]], "d": [1, 1]},
+    "string-entry": {"n": 2, "frozen": [2], "B": [[0, "1"], [-1, 0]], "d": [1, 1]},
+    "short-labels": {"n": 2, "frozen": [2], "B": [[0, 1], [-1, 0]], "d": [1, 1], "labels": ["a"]},
+    "d-not-symmetrizing": {"n": 2, "frozen": [], "B": [[0, 1], [-2, 0]], "d": [1, 1]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SEEDS))
+def test_bad_seed_file_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_SEEDS[name]))
+    for argv in (
+        ["mutate", "--seq", "1"],
+        ["cgmat", "--seq", "1"],
+        ["expand", "--seq", "1", "--i", "1"],
+        ["var-solve", "--seq", "1,1"],
+        ["twist", "--kind", "dt"],
+    ):
+        code, out, err = run(capsys, *argv, "--seed", str(path), "--format", "json")
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("error: seeds:"), (argv, err)
 
 
 def test_seed_file_errors(tmp_path, capsys):
@@ -110,6 +140,16 @@ def test_var_solve_member(digon_file, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["member_is_variation"] is True
+
+
+def test_var_solve_zero_denominator(digon_file, capsys):
+    code, out, err = run(
+        capsys,
+        "var-solve", "--seed", digon_file, "--seq", "4,2", "--side", "X",
+        "--params", "lambda=1/0", "--format", "json",
+    )
+    assert (code, out) == (2, "")
+    assert "not a rational value" in err
 
 
 def test_twist_dt(a1_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 from cluster_twist.exact import (
     Infeasible,
     Matrix,
+    affine_combination,
     integer_diagonal_form,
     integer_solution,
     integral_member,
@@ -79,6 +80,32 @@ def test_solve_affine_members_are_exact():
         assert sol.member(coeffs) * a == y
         for z in sol.nullspace_basis:
             assert z * a == Matrix.zero(2, a.ncols)
+
+
+def test_bilinear_and_affine_combination_match_matrix_products():
+    rng = random.Random(17)
+
+    def rat():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = Matrix([[rat() for _ in range(cols)] for _ in range(rows)])
+        u = [rng.choice((0, rat())) for _ in range(rows)]
+        v = [rat() for _ in range(cols)]
+        assert m.bilinear(u, v) == (Matrix([u]) * m * Matrix.column(v))[0, 0]
+        directions = [Matrix([[rat() for _ in range(cols)] for _ in range(rows)]) for _ in range(rng.randint(0, 4))]
+        coeffs = [rng.choice((0, rat())) for _ in directions]
+        want = m
+        for c, d in zip(coeffs, directions):
+            want = want + d.scale(c)
+        assert affine_combination(m, coeffs, directions) == want
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]).bilinear([1], [1])
+    with pytest.raises(ValueError):
+        affine_combination(Matrix([[1]]), [1, 2], [Matrix([[1]])])
+    with pytest.raises(ValueError):
+        affine_combination(Matrix([[1]]), [1], [Matrix([[1, 0]])])
 
 
 def test_solve_affine_infeasible():

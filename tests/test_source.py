@@ -17,3 +17,31 @@ def test_no_assert_statements_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SOURCES
     assert not found, f"assert statements in the library: {found}"
+
+
+def _compares_denominator_with_one(node):
+    if not isinstance(node, ast.Compare) or not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(x, ast.Attribute) and x.attr == "denominator" for x in operands) and any(
+        isinstance(x, ast.Constant) and x.value == 1 for x in operands
+    )
+
+
+def test_one_scalar_normalizer():
+    # exact.norm_rational alone collapses integral Fractions to int; a copy
+    # of that rule elsewhere can drift from it, e.g. store a float that the
+    # matrix layer refuses
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if path.name == "exact.py" and isinstance(node, ast.FunctionDef) and node.name == "norm_rational":
+                allowed = {id(x) for x in ast.walk(node)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _compares_denominator_with_one(node) and id(node) not in allowed
+        ]
+    assert not found, f"denominator compared with 1 outside exact.norm_rational: {found}"

@@ -1,12 +1,13 @@
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from cluster_twist.exact import Matrix
 from cluster_twist.laurent import LaurentPoly, RationalExpr, pointed_decompose
-from cluster_twist.mutation import expand_cluster_variable, run_trajectory
-from cluster_twist.seeds import find_similarities, make_seed, mutate_b_along
+from cluster_twist.mutation import expand_cluster_variable, find_t1, run_trajectory
+from cluster_twist.seeds import find_similarities, make_seed, mutate_b_along, principal_seed
 from cluster_twist.twist import (
     apply_twist,
     build_dt_twist,
@@ -161,6 +162,46 @@ def test_principal_twist_endpoint_not_similar(b2_principal):
 
     with pytest.raises(Infeasible):
         build_principal_twist(b2_principal, (0,))
+
+
+def test_twists_reuse_the_seeds_of_their_path(monkeypatch):
+    # both twists of a pair take the seeds of the path from its trajectory;
+    # beyond the search (or the trajectory), only the transport of the
+    # compatible form mutates along the path again
+    import cluster_twist
+    from cluster_twist import seeds
+
+    from test_mutation import BIPARTITE_A4
+
+    original = seeds.mutate_b
+    calls = []
+
+    def counting(seed, k):
+        calls.append(k)
+        return original(seed, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cluster_twist.") or module is cluster_twist:
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, counting)
+
+    t0 = principal_seed(BIPARTITE_A4, (1, 1, 1, 1))
+    witness = find_t1(t0)
+    search = len(calls)
+    calls.clear()
+    pair = build_dt_twist(t0)
+    assert pair.trajectory.seq == witness.seq
+    assert len(calls) <= search + len(witness.seq)
+    assert len(calls) <= 168
+    assert pair.tw_a.seeds == pair.tw_x.seeds == pair.trajectory.seeds
+
+    a2 = principal_seed([[0, 1], [-1, 0]], (1, 1))
+    seq = (0, 1, 0, 1, 0)
+    calls.clear()
+    pair = build_principal_twist(a2, seq)
+    assert len(calls) == 2 * len(seq)
+    assert pair.tw_a.seeds == pair.tw_x.seeds == mutate_b_along(a2, seq)
 
 
 def test_principal_composites(b2_principal):
