@@ -285,6 +285,12 @@ def divide_binomial(f: LaurentPoly, w_exp):
 
     Terms are grouped along lines e + Z*w; on each line the quotient
     telescopes, and divisibility reduces to the final remainder vanishing.
+    A term's position on its line is the integer step s = e_t // w_t at the
+    first nonzero coordinate t of w, and the line is keyed by its
+    representative e - s*w.  The floor is exact for rational exponents and
+    directions alike: two exponents lie on one line exactly when they
+    differ by an integer multiple of w, which holds exactly when their
+    representatives agree, so no step is ever a Fraction.
     """
     w = tuple(w_exp)
     if all(x == 0 for x in w):
@@ -293,24 +299,23 @@ def divide_binomial(f: LaurentPoly, w_exp):
         return LaurentPoly.zero(f.seed)
     t = next(i for i, x in enumerate(w) if x != 0)
     wt = w[t]
+    integral = all(type(y) is int for y in w)
     lines = {}
     for e, c in f.terms.items():
-        s = Fraction(e[t]) / wt  # signed number of w-steps from the axis
-        rep = tuple(norm_rational(x - s * y) for x, y in zip(e, w))
-        frac = s % 1
-        lines.setdefault((rep, frac), {})[s] = c
+        s = e[t] // wt
+        lines.setdefault(tuple(x - s * y for x, y in zip(e, w)), {})[s] = c
     q = {}
-    for (rep, _), steps in lines.items():
+    for rep, steps in lines.items():
+        # a normalized rep keeps rep + s*w normalized when w is integral
+        rep = tuple(map(norm_rational, rep))
         lo_s, hi_s = min(steps), max(steps)
         prev = 0
-        s = lo_s
-        while s < hi_s:
+        for s in range(lo_s, hi_s):
             cur = steps.get(s, 0) - prev
             if cur != 0:
-                qe = tuple(norm_rational(r + s * y) for r, y in zip(rep, w))
-                q[qe] = norm_rational(cur)
+                qe = tuple(r + s * y for r, y in zip(rep, w))
+                q[qe if integral else tuple(map(norm_rational, qe))] = norm_rational(cur)
             prev = cur
-            s = s + 1
         if steps.get(hi_s, 0) - prev != 0:
             return None
     return _mk(f.seed, q)
@@ -519,7 +524,8 @@ def _coerce(x, seed):
 # -- dominance order and pointedness ---------------------------------------
 
 
-@lru_cache(maxsize=None)
+# bounded, so that a long-lived process does not keep every seed it met
+@lru_cache(maxsize=128)
 def _dominance_solver(seed):
     bt = seed.b_tilde()
     m = seed.partition.n_unfrozen

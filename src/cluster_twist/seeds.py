@@ -364,12 +364,19 @@ def seed_to_json(seed: Seed) -> dict:
     return out
 
 
+def _json_int(x) -> int:
+    # int() would truncate 1.5 and accept true; only a JSON integer will do
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def seed_from_json(data: dict) -> Seed:
     try:
-        n = int(data["n"])
-        frozen_1b = [int(x) for x in data.get("frozen", [])]
+        n = _json_int(data["n"])
+        frozen_1b = [_json_int(x) for x in data.get("frozen", [])]
         b_rows = Matrix(data["B"]).rows
-        d = [int(x) for x in data["d"]]
+        d = [_json_int(x) for x in data["d"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed seed JSON: {exc}") from exc
     for x in frozen_1b:

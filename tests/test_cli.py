@@ -64,6 +64,9 @@ BAD_SEEDS = {
     "string-entry": {"n": 2, "frozen": [2], "B": [[0, "1"], [-1, 0]], "d": [1, 1]},
     "short-labels": {"n": 2, "frozen": [2], "B": [[0, 1], [-1, 0]], "d": [1, 1], "labels": ["a"]},
     "d-not-symmetrizing": {"n": 2, "frozen": [], "B": [[0, 1], [-2, 0]], "d": [1, 1]},
+    "float-d": {"n": 2, "B": [[0, 1], [-1, 0]], "d": [1.5, 1]},
+    "float-n": {"n": 2.7, "B": [[0, 1], [-1, 0]], "d": [1, 1]},
+    "float-frozen": {"n": 2, "frozen": [2.0], "B": [[0, 1], [-1, 0]], "d": [1, 1]},
 }
 
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from cluster_twist.exact import norm_rational
 from cluster_twist.laurent import (
     DominanceUndecidable,
     LaurentPoly,
     RationalExpr,
+    _dominance_solver,
     binomial_power,
     divide_binomial,
     dominance_leq,
@@ -113,28 +115,51 @@ def test_exact_divide_randomized():
 
 
 def test_divide_binomial_matches_general_division():
+    # The oracle divides by 2·(1 + X^w): a binomial whose leading
+    # coefficient is not 1 takes the leading-term descent of exact_divide,
+    # not its divide_binomial shortcut, so the sweep is not compared with
+    # itself.  Exponents on the frozen index 2 and the direction w may be
+    # rational, and w_t may be negative or exceed 1 in size.
     rng = random.Random(22)
     seed = make_seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], frozen=[2])
-    for _ in range(120):
-        f = LaurentPoly(
+
+    def frozen_exp():
+        return norm_rational(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
+
+    def normalized(p):
+        return all(type(x) is type(norm_rational(x)) for e in p.terms for x in e)
+
+    # products keep sums such as 1/2 + 1/2 as Fraction(1, 1); the quotient
+    # comes back normalized all the same
+    half = LaurentPoly.monomial(seed, (0, 0, Fraction(1, 2)))
+
+    for _ in range(200):
+        h = LaurentPoly(
             seed,
             {
-                tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-3, 3)
+                (rng.randint(-3, 3), rng.randint(-3, 3), frozen_exp()): rng.randint(-3, 3)
                 for _ in range(rng.randint(1, 5))
             },
-        )
-        if f.is_zero():
+        ) * half
+        if h.is_zero():
             continue
-        w = tuple(rng.randint(-2, 2) for _ in range(3))
+        w = (rng.choice([0, 0, -3, -2, -1, 1, 2, 3]), rng.choice([0, 0, -3, -2, -1, 1, 2, 3]), frozen_exp())
         if all(x == 0 for x in w):
             continue
         g = binomial_power(seed, w, 1)
-        assert divide_binomial(f * g, w) == f
+        hg = h * g
+        back = divide_binomial(hg, w)
+        assert back == h and normalized(back)
+        f = hg if rng.random() < 0.5 else h
         got = divide_binomial(f, w)
-        expected = exact_divide(f, g)
+        expected = exact_divide(f, LaurentPoly(seed, {e: 2 * c for e, c in g.terms.items()}))
         assert (got is None) == (expected is None)
         if got is not None:
-            assert got == expected
+            assert got == expected * 2 and normalized(got)
+        # one extra term changes the alternating sum of its line by ±c
+        e = (rng.randint(-4, 4), rng.randint(-4, 4), frozen_exp())
+        c = rng.choice([-2, -1, Fraction(1, 2), 1, 3])
+        assert divide_binomial(hg + LaurentPoly.monomial(seed, e, c), w) is None
 
 
 def test_dominance(a1):
@@ -146,6 +171,8 @@ def test_dominance(a1):
     )
     with pytest.raises(DominanceUndecidable):
         dominance_leq((0, 0, 0, 0), (0, 0, 0, 0), digon)
+    # the per-seed solver cache is bounded, not kept for every seed ever met
+    assert _dominance_solver.cache_info().maxsize is not None
 
 
 def test_dominance_partial_order():

@@ -148,6 +148,8 @@ def test_seed_json_roundtrip(sl3_seed):
         seed_from_json({"n": 2, "B": [[0, 1], [-1, 0]]})
     with pytest.raises(ValueError):
         seed_from_json({"n": 2, "frozen": [5], "B": [[0, 1], [-1, 0]], "d": [1, 1]})
+    with pytest.raises(ValueError):
+        seed_from_json({"n": 2, "B": [[0, 1], [-1, 0]], "d": [True, 1]})
 
 
 def test_principal_seed_shape(b2_principal):
