@@ -10,7 +10,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, lcm
+from operator import add
 
 from .exact import ExactError, Matrix, norm_rational
 
@@ -20,7 +22,7 @@ class DominanceUndecidable(ExactError):
 
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a, b):
@@ -29,6 +31,26 @@ def exp_sub(a, b):
 
 def exp_scale(a, s):
     return tuple(norm_rational(s * x) for x in a)
+
+
+def sum_terms(pairs) -> dict:
+    """The sparse accumulator: sums the coefficients of (key, coefficient)
+    pairs with equal keys, then normalizes the sums and drops the zeros once,
+    at the end.  Keys are taken as given."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in zip(out, map(norm_rational, out.values())) if c != 0}
+
+
+def _exponent_sum_keys(a, b, out):
+    """``out``, keyed by sums of an exponent of ``a`` and one of ``b``, with
+    its keys normalized.  Only two non-integral exponents can add up to an
+    integral Fraction, so the keys are rebuilt only when both ``a`` and
+    ``b`` hold one."""
+    if any(type(x) is not int for e in a for x in e) and any(type(x) is not int for e in b for x in e):
+        return {tuple(map(norm_rational, e)): c for e, c in out.items()}
+    return out
 
 
 class LaurentPoly:
@@ -115,14 +137,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(self.seed, other)
         self._ring_check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            nc = norm_rational(out.get(exp, 0) + c)
-            if nc == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = nc
-        return _mk(self.seed, out)
+        return _mk(self.seed, sum_terms(chain(self.terms.items(), other.terms.items())))
 
     __radd__ = __add__
 
@@ -144,16 +159,8 @@ class LaurentPoly:
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
-        out = {}
-        for e2, c2 in small.items():
-            for e1, c1 in big.items():
-                exp = exp_add(e1, e2)
-                nc = norm_rational(out.get(exp, 0) + c1 * c2)
-                if nc == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = nc
-        return _mk(self.seed, out)
+        out = sum_terms((exp_add(e1, e2), c1 * c2) for e2, c2 in small.items() for e1, c1 in big.items())
+        return _mk(self.seed, _exponent_sum_keys(small, big, out))
 
     __rmul__ = __mul__
 
@@ -180,7 +187,8 @@ class LaurentPoly:
     def shift(self, exp):
         """Multiply by the monomial with the given exponent."""
         exp = tuple(exp)
-        return _mk(self.seed, {exp_add(e, exp): c for e, c in self.terms.items()})
+        out = {exp_add(e, exp): c for e, c in self.terms.items()}
+        return _mk(self.seed, _exponent_sum_keys((exp,), self.terms, out))
 
     # -- inspection -------------------------------------------------------
 
@@ -216,15 +224,7 @@ class LaurentPoly:
 
     def substitute_monomial(self, matrix: Matrix, target_seed):
         """Monomial map on exponents: X^n -> Y^(matrix @ n)."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = matrix.apply(e)
-            nc = norm_rational(out.get(ne, 0) + c)
-            if nc == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = nc
-        return LaurentPoly(target_seed, out)
+        return LaurentPoly(target_seed, sum_terms((matrix.apply(e), c) for e, c in self.terms.items()))
 
     # -- rendering --------------------------------------------------------
 

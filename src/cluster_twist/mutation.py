@@ -19,6 +19,7 @@ from .laurent import (
     divide_binomial,
     exp_scale,
     pointed_decompose,
+    sum_terms,
 )
 from .seeds import Seed, SimilarityWitness, find_similarities, mutate_b, p_star
 
@@ -137,18 +138,14 @@ def _expand_binomials(expr: RationalExpr, seed: Seed, act, power_row, base_exp):
             by_power.setdefault(p, []).append((e if act is None else act(e), c))
             if p < low:
                 low = p
-        out = {}
-        for p, terms in by_power.items():
-            coeffs = [comb(p - low, j) for j in range(p - low + 1)]
-            for e, c in terms:
-                for j, b in enumerate(coeffs):
-                    key = e if j == 0 else tuple(x + j * y for x, y in zip(e, base_exp))
-                    nc = out.get(key, 0) + c * b
-                    if nc == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nc
-        parts.append((LaurentPoly(seed, out, validate=False), -low))
+        rows = {p: [comb(p - low, j) for j in range(p - low + 1)] for p in by_power}
+        pairs = (
+            (e if j == 0 else tuple(x + j * y for x, y in zip(e, base_exp)), c * b)
+            for p, terms in by_power.items()
+            for e, c in terms
+            for j, b in enumerate(rows[p])
+        )
+        parts.append((LaurentPoly(seed, sum_terms(pairs), validate=False), -low))
     (num, pnum), (den, pden) = parts
     if pden > pnum:
         num = num * binomial_power(seed, base_exp, pden - pnum)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import Infeasible, InternalConsistencyError, Matrix, integer_solution, solve_affine
-from .laurent import LaurentPoly, RationalExpr, exp_add
+from .laurent import LaurentPoly, RationalExpr, exp_add, sum_terms
 from .mutation import trans_matrix
 from .seeds import Seed, mutate_b
 
@@ -35,6 +35,11 @@ class LambdaForm:
     seed: Seed
     lam: Matrix
     alpha: int
+
+    def __post_init__(self):
+        # the bracket reads all of a^T Lambda b, not only the upper triangle
+        if not self.lam.is_skew_symmetric():
+            raise ValueError("a compatible form must be a square skew-symmetric matrix")
 
     @property
     def delta(self) -> tuple:
@@ -185,33 +190,16 @@ def check_lambda_omega_link(form: LambdaForm, seed: Seed) -> dict:
 # -- symbolic brackets --------------------------------------------------------
 
 
-def _partial(poly: LaurentPoly, i: int) -> LaurentPoly:
-    out = {}
-    for e, c in poly.terms.items():
-        if e[i] == 0:
-            continue
-        ne = list(e)
-        ne[i] = e[i] - 1
-        key = tuple(ne)
-        nc = out.get(key, 0) + c * e[i]
-        if nc == 0:
-            out.pop(key, None)
-        else:
-            out[key] = nc
-    return LaurentPoly(poly.seed, out, validate=False)
-
-
-def _partial_expr(expr: RationalExpr, i: int) -> RationalExpr:
-    da = _partial(expr.num, i)
-    db = _partial(expr.den, i)
-    return RationalExpr(da * expr.den - expr.num * db, expr.den * expr.den)
-
-
 def poisson_bracket(f, g, form) -> RationalExpr:
     """Poisson bracket of two expressions over the form's seed.
 
-    The log-canonical bracket on monomials is extended to fractions as a
-    biderivation via formal partial derivatives and the quotient rule.
+    On monomials the bracket is log-canonical,
+    {X^a, X^b} = (a^T C b) X^(a+b), with C = -W for an ``OmegaForm`` and
+    C = Lambda for a ``LambdaForm``.  It extends bilinearly to Laurent
+    polynomials, one pass over pairs of terms, and to fractions by the
+    quotient rule
+    {p/q, r/s} = (qs{p,r} - qr{p,s} - ps{q,r} + pr{q,s}) / (q^2 s^2),
+    where {1, .} = 0 makes the terms of a denominator one vanish.
     """
     if isinstance(form, OmegaForm):
         cmat = -form.w
@@ -227,35 +215,12 @@ def poisson_bracket(f, g, form) -> RationalExpr:
     if f.seed != seed or g.seed != seed:
         raise ValueError("bracket operands must live over the form's seed")
 
-    # monomial fast path reproducing the defining formula exactly
-    if f.den.is_one() and g.den.is_one() and f.num.is_monomial() and g.num.is_monomial():
-        (e1, c1), (e2, c2) = next(iter(f.num.terms.items())), next(iter(g.num.terms.items()))
-        coeff = cmat.bilinear(e1, e2)
-        return RationalExpr(LaurentPoly(seed, {exp_add(e1, e2): c1 * c2 * coeff}, validate=False))
+    def br(x, y):
+        pairs = (
+            (exp_add(a, b), ca * cb * cmat.bilinear(a, b)) for a, ca in x.terms.items() for b, cb in y.terms.items()
+        )
+        return LaurentPoly(seed, sum_terms(pairs), validate=False)
 
-    n = seed.n
-    out = RationalExpr(LaurentPoly.zero(seed))
-    partials_f = {}
-    partials_g = {}
-
-    def pf(i):
-        if i not in partials_f:
-            partials_f[i] = _partial_expr(f, i)
-        return partials_f[i]
-
-    def pg(i):
-        if i not in partials_g:
-            partials_g[i] = _partial_expr(g, i)
-        return partials_g[i]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = cmat[i, j]
-            if cij == 0:
-                continue
-            xij = [0] * n
-            xij[i] += 1
-            xij[j] += 1
-            mono = RationalExpr(LaurentPoly.monomial(seed, xij, cij))
-            out = out + mono * (pf(i) * pg(j) - pf(j) * pg(i))
-    return out
+    p, q, r, s = f.num, f.den, g.num, g.den
+    num = q * s * br(p, r) - q * r * br(p, s) - p * s * br(q, r) + p * r * br(q, s)
+    return RationalExpr(num, (q * s) ** 2)

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .exact import norm_rational
-from .laurent import LaurentPoly, exp_add
+from .laurent import LaurentPoly, exp_add, sum_terms
 from .poisson import LambdaForm, OmegaForm, poisson_bracket
 
 
@@ -20,15 +21,7 @@ class VPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for e, c in (terms or {}).items():
-            e, c = norm_rational(e), norm_rational(c)
-            if c == 0:
-                continue
-            clean[e] = clean.get(e, 0) + c
-            if clean[e] == 0:
-                del clean[e]
-        self.terms = clean
+        self.terms = sum_terms((norm_rational(e), c) for e, c in (terms or {}).items())
 
     @classmethod
     def v_power(cls, e, coeff=1):
@@ -39,14 +32,7 @@ class VPoly:
         return cls({0: 1})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = nc
-        return VPoly(out)
+        return VPoly(sum_terms(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return VPoly({e: -c for e, c in self.terms.items()})
@@ -57,16 +43,7 @@ class VPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return VPoly({e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                nc = out.get(e, 0) + c1 * c2
-                if nc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = nc
-        return VPoly(out)
+        return VPoly(sum_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 

@@ -78,6 +78,26 @@ def test_rational_exponents_frozen_only(a1):
         LaurentPoly.monomial(a1, (Fraction(1, 2), 0))
 
 
+def test_product_and_shift_store_normalized_exponents():
+    # two non-integral frozen exponents can add up to an integer, which is
+    # stored as an int, as LaurentPoly() itself would store it
+    seed = make_seed([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], frozen=[2])
+    half = Fraction(1, 2)
+    root = X(seed, 0, 0, half)
+
+    def normalized(poly):
+        return all(type(x) is type(norm_rational(x)) for e in poly.terms for x in e)
+
+    ((exp, _),) = (root * root).terms.items()
+    assert exp == (0, 0, 1) and type(exp[2]) is int
+    ((exp, _),) = root.shift((0, 0, half)).terms.items()
+    assert exp == (0, 0, 1) and type(exp[2]) is int
+    mixed = LaurentPoly(seed, {(0, 0, half): 1, (1, 0, 0): 2, (0, -1, Fraction(3, 2)): 1})
+    for poly in (mixed * mixed, mixed * root, mixed * X(seed, 1, 1, 1), mixed.shift((1, 0, Fraction(-3, 2)))):
+        assert normalized(poly), poly.terms
+        assert poly == LaurentPoly(seed, poly.terms)
+
+
 def test_exact_divide_examples(a1):
     one_plus = LaurentPoly(a1, {(0, 0): 1, (1, 0): 1})
     sq = one_plus * one_plus

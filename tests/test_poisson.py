@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from cluster_twist.laurent import LaurentPoly, RationalExpr
 from cluster_twist.mutation import mutate_expr, run_trajectory, trans_matrix
 from cluster_twist.poisson import (
     LambdaForm,
+    OmegaForm,
     check_lambda_omega_link,
     mutate_lambda,
     omega_from_seed,
@@ -14,7 +16,7 @@ from cluster_twist.poisson import (
     solve_compatible_lambda,
     transport_lambda,
 )
-from cluster_twist.seeds import make_seed, mutate_b
+from cluster_twist.seeds import make_seed, mutate_b, principal_seed
 
 from conftest import random_symmetrizable_seed
 
@@ -83,6 +85,127 @@ def test_check_lambda_omega_link(a1_seed):
     assert check_lambda_omega_link(form, a1_seed)["ok"]
     corrupted = LambdaForm(a1_seed, Matrix([[0, -1], [1, 0]]), 1)
     assert not check_lambda_omega_link(corrupted, a1_seed)["ok"]
+
+
+# -- reference bracket: a biderivation from formal partial derivatives --------
+
+
+def _partial(poly: LaurentPoly, i: int) -> LaurentPoly:
+    out = {}
+    for e, c in poly.terms.items():
+        if e[i] == 0:
+            continue
+        ne = list(e)
+        ne[i] = e[i] - 1
+        key = tuple(ne)
+        nc = out.get(key, 0) + c * e[i]
+        if nc == 0:
+            out.pop(key, None)
+        else:
+            out[key] = nc
+    return LaurentPoly(poly.seed, out, validate=False)
+
+
+def _partial_expr(expr: RationalExpr, i: int) -> RationalExpr:
+    da = _partial(expr.num, i)
+    db = _partial(expr.den, i)
+    return RationalExpr(da * expr.den - expr.num * db, expr.den * expr.den)
+
+
+def reference_bracket(f: RationalExpr, g: RationalExpr, form) -> RationalExpr:
+    """{f, g} = sum over i < j of C_ij x_i x_j (d_i f d_j g - d_j f d_i g),
+    with C = -W or Lambda: the log-canonical bracket extended to fractions
+    through formal partial derivatives and the quotient rule."""
+    cmat = -form.w if isinstance(form, OmegaForm) else form.lam
+    seed = form.seed
+    n = seed.n
+    out = RationalExpr(LaurentPoly.zero(seed))
+    pf = [_partial_expr(f, i) for i in range(n)]
+    pg = [_partial_expr(g, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = cmat[i, j]
+            if cij == 0:
+                continue
+            xij = [0] * n
+            xij[i] += 1
+            xij[j] += 1
+            mono = RationalExpr(LaurentPoly.monomial(seed, xij, cij))
+            out = out + mono * (pf[i] * pg[j] - pf[j] * pg[i])
+    return out
+
+
+def _random_oracle_seed(rng, principal):
+    """A rank 2-4 seed: principal coefficients, or one frozen vertex."""
+    r = rng.randint(2, 4)
+    d = [rng.choice((1, 1, 2)) for _ in range(r + (0 if principal else 1))]
+    s = [[0] * len(d) for _ in d]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            s[i][j] = rng.randint(-2, 2)
+            s[j][i] = -s[i][j]
+    b = [[d[i] * s[i][j] for j in range(len(d))] for i in range(len(d))]
+    if principal:
+        return principal_seed(b, d)
+    return make_seed(b, frozen=[r], d=d)
+
+
+def _random_oracle_poly(rng, seed, n_terms, rational_frozen):
+    terms = {}
+    for _ in range(n_terms):
+        e = [rng.randint(-1, 1) for _ in range(seed.n)]
+        if rational_frozen:
+            i = rng.choice(seed.frozen)
+            e[i] = Fraction(rng.choice((-3, -1, 1, 3)), 2)
+        terms[tuple(e)] = rng.choice((-2, -1, 1, 2, Fraction(1, 3)))
+    return LaurentPoly(seed, terms)
+
+
+def test_bracket_matches_quotient_rule_reference():
+    # the log-canonical bracket against the quotient-rule reference on
+    # random fractions over rank 2-4 seeds, with both kinds of form
+    rng = random.Random(20261018)
+    pairs = 0
+    seen = {"omega": 0, "lambda": 0, "den_one": 0, "den_poly": 0, "rational": 0, "principal": 0, "one_frozen": 0}
+    while pairs < 64:
+        principal = pairs % 4 < 2
+        seed = _random_oracle_seed(rng, principal)
+        forms = [omega_from_seed(seed)]
+        try:
+            forms.append(solve_compatible_lambda(seed, alpha_bound=8)[0])
+        except Infeasible:
+            pass
+        for form in forms:
+            operands = []
+            for _ in range(2):
+                rational = rng.random() < 0.3
+                num = _random_oracle_poly(rng, seed, rng.randint(1, 2), rational)
+                # the reference's denominator grows with every pair i < j, so
+                # both operands are fractions only on the smallest seeds
+                fraction = rng.random() < 0.6 and (seed.n <= 4 or not operands or operands[0].is_laurent())
+                den = _random_oracle_poly(rng, seed, 2, rational) if fraction else None
+                if den is not None and den.is_monomial():
+                    den = None
+                expr = RationalExpr(num, den)
+                seen["den_one" if expr.den.is_one() else "den_poly"] += 1
+                seen["rational"] += rational
+                operands.append(expr)
+            f, g = operands
+            assert poisson_bracket(f, g, form) == reference_bracket(f, g, form), (seed, form, f, g)
+            seen["lambda" if isinstance(form, LambdaForm) else "omega"] += 1
+            seen["principal" if principal else "one_frozen"] += 1
+            pairs += 1
+    assert all(count >= 8 for count in seen.values()), seen
+
+
+def test_lambda_form_must_be_skew(a1_seed):
+    # the bracket reads all of a^T Lambda b, so a form that is not skew
+    # would change its answers silently
+    with pytest.raises(ValueError):
+        LambdaForm(a1_seed, Matrix([[0, 1], [1, 0]]), 1)
+    with pytest.raises(ValueError):
+        LambdaForm(a1_seed, Matrix([[0, 1, 0], [-1, 0, 0]]), 1)
+    assert LambdaForm(a1_seed, Matrix([[0, 1], [-1, 0]]), 1).alpha == 1
 
 
 def test_bracket_monomial_formula():

@@ -45,3 +45,37 @@ def test_one_scalar_normalizer():
             if _compares_denominator_with_one(node) and id(node) not in allowed
         ]
     assert not found, f"denominator compared with 1 outside exact.norm_rational: {found}"
+
+
+def _adds_to_a_dict_lookup(node):
+    # <name>.get(<key>, 0) + ...
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and isinstance(node.left, ast.Call)):
+        return False
+    call = node.left
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "get"
+        and isinstance(call.func.value, ast.Name)
+        and len(call.args) == 2
+        and isinstance(call.args[1], ast.Constant)
+        and call.args[1].value == 0
+    )
+
+
+def test_one_sparse_accumulator():
+    # laurent.sum_terms alone sums coefficients by key and drops the zeros;
+    # a hand-written copy can forget to drop a cancelled term or to
+    # normalize a sum
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if path.name == "laurent.py" and isinstance(node, ast.FunctionDef) and node.name == "sum_terms":
+                allowed = {id(x) for x in ast.walk(node)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _adds_to_a_dict_lookup(node) and id(node) not in allowed
+        ]
+    assert not found, f"coefficients summed by hand outside laurent.sum_terms: {found}"
