@@ -307,3 +307,122 @@ def test_lambda_transport_matches_conjugation(b2_principal):
     traj = run_trajectory(b2_principal, seq)
     f = traj.f_matrix
     assert f.transpose() * form.lam * f == chain[-1].lam
+
+
+# -- reference solver: the alpha scan with its rescaling fallback -------------
+
+
+def reference_compatible_lambda(seed, alpha=None, alpha_bound=64):
+    """Integer skew form compatible with the seed, plus the family dimension:
+    the solve repeated for alpha = lcm(d_uf) * m, m = 1..alpha_bound, then a
+    rescaled rational solution when no multiple has an integral member."""
+    from math import lcm
+
+    from cluster_twist.exact import InternalConsistencyError, integer_solution, solve_affine
+    from cluster_twist.poisson import _compatibility_residual
+
+    n = seed.n
+    bt = seed.b_tilde()
+    if bt.rank() < seed.partition.n_unfrozen:
+        raise Infeasible("no compatible form: exchange columns are rank-deficient")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = []
+    for i in range(n):
+        for pos in range(seed.partition.n_unfrozen):
+            row = []
+            for (a, b) in pairs:
+                coeff = 0
+                if a == i:
+                    coeff += bt[b, pos]
+                if b == i:
+                    coeff -= bt[a, pos]
+                row.append(coeff)
+            rows.append(row)
+    coeffs = Matrix(rows).transpose()
+
+    def rhs_for(alpha_val):
+        vals = []
+        for i in range(n):
+            for pos, k in enumerate(seed.unfrozen):
+                vals.append(-Fraction(alpha_val, seed.d[k]) if i == k else 0)
+        return Matrix([vals])
+
+    def assemble(vec):
+        m = [[0] * n for _ in range(n)]
+        for (a, b), v in zip(pairs, vec):
+            m[a][b] = v
+            m[b][a] = -v
+        return Matrix(m)
+
+    base = 1
+    for k in seed.unfrozen:
+        base = lcm(base, seed.d[k])
+    candidates = [alpha] if alpha is not None else [base * m for m in range(1, alpha_bound + 1)]
+    last_family = None
+    for alpha_val in candidates:
+        try:
+            family = solve_affine(coeffs, rhs_for(alpha_val))
+        except Infeasible:
+            continue
+        last_family = family
+        member = integer_solution(family.particular, family.nullspace_basis)
+        if member is None:
+            continue
+        lam = assemble(member.rows[0])
+        if not _compatibility_residual(seed, lam, alpha_val):
+            raise InternalConsistencyError("integer member of the family is not compatible")
+        return LambdaForm(seed, lam, alpha_val), family.dim
+    if alpha is None and last_family is not None:
+        family = solve_affine(coeffs, rhs_for(base))
+        scale = family.particular.denominator_lcm()
+        lam = assemble(family.particular.scale(scale).rows[0])
+        if not _compatibility_residual(seed, lam, base * scale):
+            raise InternalConsistencyError("rescaled rational solution is not compatible")
+        return LambdaForm(seed, lam, base * scale), family.dim
+    if last_family is not None:
+        raise Infeasible("no integer-valued compatible form for the requested alpha")
+    raise Infeasible("compatibility equations are inconsistent")
+
+
+def _lambda_or_infeasible(solver, seed, alpha):
+    try:
+        form, dim = solver(seed, alpha)
+    except Infeasible:
+        return None
+    return form.lam, form.alpha, dim
+
+
+def test_compatible_lambda_matches_alpha_scan():
+    # one solve at alpha = lcm(d_uf) against the scan over its multiples, on
+    # random seeds whose smallest admissible alpha is often a proper multiple
+    from math import lcm
+
+    from cluster_twist.poisson import _compatibility_residual
+
+    rng = random.Random(20261019)
+    seeds = [random_symmetrizable_seed(rng, d_choices=(1, 1, 2, 3), spread=3) for _ in range(100)]
+    while len(seeds) < 130:
+        r = rng.randint(2, 3)
+        d = [rng.choice((1, 2, 3)) for _ in range(r)]
+        s = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                s[i][j] = rng.randint(-2, 2)
+                s[j][i] = -s[i][j]
+        seeds.append(principal_seed([[d[i] * s[i][j] for j in range(r)] for i in range(r)], d))
+    above_base = 0
+    for seed in seeds:
+        base = lcm(*(seed.d[k] for k in seed.unfrozen))
+        for alpha in (None, 1, 2, 6):
+            got = _lambda_or_infeasible(solve_compatible_lambda, seed, alpha)
+            want = _lambda_or_infeasible(reference_compatible_lambda, seed, alpha)
+            if alpha is None and want is not None and want[1] > 64 * base:
+                # the reference rescaled a rational solution: its alpha is a
+                # multiple of the smallest one
+                assert got is not None and want[1] % got[1] == 0 and got[2] == want[2], (seed, got, want)
+                assert got[0].is_integral() and _compatibility_residual(seed, got[0], got[1]), (seed, got)
+            else:
+                assert got == want, (seed, alpha, got, want)
+            if alpha is None and got is not None and got[1] > base:
+                above_base += 1
+    assert above_base >= 10, above_base
