@@ -88,11 +88,11 @@ def expr_json(e: RationalExpr):
     return {"num": poly_json(e.num), "den": poly_json(e.den)}
 
 
-def emit(payload: dict, fmt: str, pretty_lines=None):
+def emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for line in pretty_lines or _default_pretty(payload):
+        for line in _default_pretty(payload):
             print(line)
 
 
@@ -501,9 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", required=True, help="seed JSON file")
+    def common(p):
+        p.add_argument("--seed", required=True, help="seed JSON file")
         p.add_argument("--format", choices=("pretty", "json"), default="pretty")
 
     p = sub.add_parser("seed-check", help="validate a seed and report rank and Poisson data")

@@ -339,11 +339,10 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly):
         return _mk(f.seed, {exp_sub(e, ge): norm_rational(c * inv) for e, c in f.terms.items()})
     if len(g.terms) == 2:
         (e1, c1), (e2, c2) = sorted(g.terms.items())
-        if c2 == 1:
-            # g = c1*X^e1 + X^e2 = X^e1 * (c1 + X^(e2-e1)); peel the monomial
+        if c1 == 1 and c2 == 1:
+            # g = X^e1 + X^e2 = X^e1 * (1 + X^(e2-e1)); peel the monomial
             shifted = _mk(f.seed, {exp_sub(e, e1): c for e, c in f.terms.items()})
-            if c1 == 1:
-                return divide_binomial(shifted, exp_sub(e2, e1))
+            return divide_binomial(shifted, exp_sub(e2, e1))
     fmin, fmax = f.min_exponents(), f.max_exponents()
     gmin, gmax = g.min_exponents(), g.max_exponents()
     lo = exp_sub(fmin, gmin)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import Infeasible, InternalConsistencyError, Matrix, integer_solution, solve_affine
+from .exact import Infeasible, InternalConsistencyError, Matrix, integer_solution, integral_member, solve_affine
 from .laurent import LaurentPoly, RationalExpr, exp_add, sum_terms
 from .mutation import trans_matrix
 from .seeds import Seed, mutate_b
@@ -21,9 +21,6 @@ class OmegaForm:
 
     seed: Seed
     w: Matrix
-
-    def pairing(self, n1, n2):
-        return self.w.bilinear(n1, n2)
 
 
 @dataclass(frozen=True)
@@ -37,6 +34,10 @@ class LambdaForm:
     alpha: int
 
     def __post_init__(self):
+        # a zero or negative scale passes the compatibility equations but
+        # makes every bracket vanish or flips its sign
+        if type(self.alpha) is not int or self.alpha <= 0:
+            raise ValueError(f"alpha must be a positive integer, got {self.alpha!r}")
         # the bracket reads all of a^T Lambda b, not only the upper triangle
         if not self.lam.is_skew_symmetric():
             raise ValueError("a compatible form must be a square skew-symmetric matrix")
@@ -45,8 +46,16 @@ class LambdaForm:
     def delta(self) -> tuple:
         return tuple(Fraction(self.alpha, self.seed.d[k]) for k in self.seed.unfrozen)
 
-    def pairing(self, m1, m2):
-        return self.lam.bilinear(m1, m2)
+
+def log_canonical_matrix(form) -> Matrix:
+    """The matrix C of the log-canonical structure {X^a, X^b} = (a^T C b) X^(a+b),
+    which also twists the quantum torus: C = -W for an ``OmegaForm`` and
+    C = Lambda for a ``LambdaForm``."""
+    if isinstance(form, OmegaForm):
+        return -form.w
+    if isinstance(form, LambdaForm):
+        return form.lam
+    raise TypeError("form must be an OmegaForm or a LambdaForm")
 
 
 def omega_from_seed(seed: Seed) -> OmegaForm:
@@ -66,12 +75,16 @@ def _compatibility_residual(seed: Seed, lam: Matrix, alpha) -> bool:
     return True
 
 
-def solve_compatible_lambda(seed: Seed, alpha: int | None = None, alpha_bound: int = 64):
+def solve_compatible_lambda(seed: Seed, alpha: int | None = None):
     """Integer skew form compatible with the seed, plus the family dimension.
 
-    With ``alpha`` unset, scans multiples of lcm(d) over unfrozen indices
-    until an integer solution exists.  Raises ``Infeasible`` when the
-    exchange columns are rank-deficient or the scan is exhausted.
+    Compatibility is linear in ``alpha``, so with ``alpha`` unset the system
+    is solved once at base = lcm(d_k : k unfrozen).  The family's members
+    with the smallest common denominator r lie in (1/r)Z, and alpha = base*m
+    has an integral member exactly when r divides m; the result is
+    alpha = base*r with Lambda = r times that member.  Raises ``Infeasible``
+    when the exchange columns are rank-deficient, the equations are
+    inconsistent, or a given ``alpha`` has no integral member.
     """
     n = seed.n
     bt = seed.b_tilde()
@@ -92,51 +105,27 @@ def solve_compatible_lambda(seed: Seed, alpha: int | None = None, alpha_bound: i
                 row.append(coeff)
             rows.append(row)
     coeffs = Matrix(rows).transpose()  # unknown-row times equation-col layout
-
-    def rhs_for(alpha_val):
-        vals = []
-        for i in range(n):
-            for pos, k in enumerate(seed.unfrozen):
-                vals.append(-Fraction(alpha_val, seed.d[k]) if i == k else 0)
-        return Matrix([vals])
-
-    def assemble(vec):
-        m = [[0] * n for _ in range(n)]
-        for (a, b), v in zip(pairs, vec):
-            m[a][b] = v
-            m[b][a] = -v
-        return Matrix(m)
-
-    base = 1
-    for k in seed.unfrozen:
-        base = lcm(base, seed.d[k])
-    candidates = [alpha] if alpha is not None else [base * m for m in range(1, alpha_bound + 1)]
-    last_family = None
-    for alpha_val in candidates:
-        try:
-            family = solve_affine(coeffs, rhs_for(alpha_val))
-        except Infeasible:
-            continue
-        last_family = family
+    base = lcm(*(seed.d[k] for k in seed.unfrozen)) if alpha is None else alpha
+    rhs = [-Fraction(base, seed.d[k]) if i == k else 0 for i in range(n) for k in seed.unfrozen]
+    try:
+        family = solve_affine(coeffs, Matrix([rhs]))
+    except Infeasible:
+        raise Infeasible("compatibility equations are inconsistent") from None
+    if alpha is None:
+        member, r = integral_member(family.particular, family.nullspace_basis)
+        member, alpha = member.scale(r), base * r
+    else:
         member = integer_solution(family.particular, family.nullspace_basis)
         if member is None:
-            continue
-        lam = assemble(member.rows[0])
-        if not _compatibility_residual(seed, lam, alpha_val):
-            raise InternalConsistencyError("integer member of the family is not compatible")
-        return LambdaForm(seed, lam, alpha_val), family.dim
-    if alpha is None and last_family is not None:
-        # scaling any rational solution clears denominators: the pair
-        # (c*lam, c*alpha) stays compatible, at the cost of a larger alpha
-        family = solve_affine(coeffs, rhs_for(base))
-        scale = family.particular.denominator_lcm()
-        lam = assemble(family.particular.scale(scale).rows[0])
-        if not _compatibility_residual(seed, lam, base * scale):
-            raise InternalConsistencyError("rescaled rational solution is not compatible")
-        return LambdaForm(seed, lam, base * scale), family.dim
-    if last_family is not None:
-        raise Infeasible("no integer-valued compatible form for the requested alpha")
-    raise Infeasible("compatibility equations are inconsistent")
+            raise Infeasible("no integer-valued compatible form for the requested alpha")
+    m = [[0] * n for _ in range(n)]
+    for (a, b), v in zip(pairs, member.rows[0]):
+        m[a][b] = v
+        m[b][a] = -v
+    lam = Matrix(m)
+    if not _compatibility_residual(seed, lam, alpha):
+        raise InternalConsistencyError("integer member of the family is not compatible")
+    return LambdaForm(seed, lam, alpha), family.dim
 
 
 def mutate_lambda(form: LambdaForm, seed: Seed, k: int) -> LambdaForm:
@@ -194,19 +183,13 @@ def poisson_bracket(f, g, form) -> RationalExpr:
     """Poisson bracket of two expressions over the form's seed.
 
     On monomials the bracket is log-canonical,
-    {X^a, X^b} = (a^T C b) X^(a+b), with C = -W for an ``OmegaForm`` and
-    C = Lambda for a ``LambdaForm``.  It extends bilinearly to Laurent
-    polynomials, one pass over pairs of terms, and to fractions by the
-    quotient rule
+    {X^a, X^b} = (a^T C b) X^(a+b), with C from ``log_canonical_matrix``.
+    It extends bilinearly to Laurent polynomials, one pass over pairs of
+    terms, and to fractions by the quotient rule
     {p/q, r/s} = (qs{p,r} - qr{p,s} - ps{q,r} + pr{q,s}) / (q^2 s^2),
     where {1, .} = 0 makes the terms of a denominator one vanish.
     """
-    if isinstance(form, OmegaForm):
-        cmat = -form.w
-    elif isinstance(form, LambdaForm):
-        cmat = form.lam
-    else:
-        raise TypeError("form must be an OmegaForm or a LambdaForm")
+    cmat = log_canonical_matrix(form)
     seed = form.seed
     if isinstance(f, LaurentPoly):
         f = RationalExpr(f)

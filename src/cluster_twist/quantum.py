@@ -1,6 +1,6 @@
-"""Quantum torus algebras: normal-ordered elements with coefficients that
-are Laurent polynomials in a root of the quantum parameter, the twisted
-product, its commutative/Poisson limit, and monomial maps between tori.
+"""Quantum torus algebras: normal-ordered elements whose terms carry a
+rational power of the quantum parameter, the twisted product, its
+commutative/Poisson limit, and monomial maps between tori.
 """
 
 from __future__ import annotations
@@ -8,132 +8,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
-from .exact import norm_rational
+from .exact import InternalConsistencyError, norm_rational
 from .laurent import LaurentPoly, exp_add, sum_terms
-from .poisson import LambdaForm, OmegaForm, poisson_bracket
-
-
-class VPoly:
-    """Laurent polynomial in the quantum parameter with rational exponents."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = sum_terms((norm_rational(e), c) for e, c in (terms or {}).items())
-
-    @classmethod
-    def v_power(cls, e, coeff=1):
-        return cls({e: coeff})
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    def __add__(self, other):
-        return VPoly(sum_terms(chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        return VPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return VPoly({e: c * other for e, c in self.terms.items()})
-        return VPoly(sum_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, VPoly) and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.terms
-
-    def exponent_denominator(self) -> int:
-        out = 1
-        for e in self.terms:
-            if isinstance(e, Fraction):
-                out = lcm(out, e.denominator)
-        return out
-
-    def evaluate_at_one(self):
-        return sum(self.terms.values())
-
-    def substitute_power(self, l: int) -> "VPoly":
-        """v -> w^l, turning all exponents integral for l a common multiple."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = norm_rational(e * l)
-            if not isinstance(ne, int):
-                raise ValueError("substitution does not clear the exponents")
-            out[ne] = c
-        return VPoly(out)
-
-    def divide_by_w_minus_one(self) -> "VPoly":
-        """Exact quotient by (w - 1) for integer-exponent polynomials that
-        vanish at w = 1, by telescoping geometric sums."""
-        if any(isinstance(e, Fraction) for e in self.terms):
-            raise ValueError("quotient needs integral exponents")
-        if self.evaluate_at_one() != 0:
-            raise ValueError("polynomial does not vanish at one")
-        # w^a - 1 = (w - 1) * (w^{a-1} + ... + 1) for a > 0, and
-        # w^{-a} - 1 = -(w - 1) * w^{-a} (w^{a-1} + ... + 1)
-        out = VPoly()
-        for e, c in self.terms.items():
-            if e == 0:
-                continue
-            if e > 0:
-                geo = VPoly({j: c for j in range(e)})
-            else:
-                geo = VPoly({j + e: -c for j in range(-e)})
-            out = out + geo
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda x: Fraction(x)):
-            c = self.terms[e]
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}v^{e}" if e != 1 else f"{head}v")
-        return " + ".join(parts).replace("+ -", "- ")
+from .poisson import LambdaForm, OmegaForm, log_canonical_matrix, poisson_bracket
 
 
 @dataclass(frozen=True)
 class QTorusElem:
-    """Normal-ordered element of a quantum torus over a seed's degree
-    lattice, with the form fixing the twisted product."""
+    """Normal-ordered element sum c * v^k * X^e of a quantum torus over a
+    seed's degree lattice, with X^a * X^b = v^(a^T C b) * X^(a+b) for the
+    form's log-canonical matrix C.  The power k of the quantum parameter v
+    may be rational."""
 
     form: OmegaForm | LambdaForm
-    terms: tuple  # sorted ((exponent tuple, VPoly), ...)
+    terms: tuple  # sorted (((exponent tuple, k), coefficient), ...)
 
     @property
     def seed(self):
         return self.form.seed
 
     @classmethod
-    def from_terms(cls, form, mapping):
-        items = []
-        for e, c in mapping.items():
-            if isinstance(c, (int, Fraction)):
-                c = VPoly({0: c})
-            if not c.is_zero():
-                items.append((tuple(e), c))
-        return cls(form, tuple(sorted(items, key=lambda t: t[0])))
+    def _from_pairs(cls, form, pairs):
+        return cls(form, tuple(sorted(sum_terms(pairs).items())))
 
     @classmethod
-    def monomial(cls, form, exp, coeff=1):
-        return cls.from_terms(form, {tuple(exp): coeff})
+    def from_terms(cls, form, mapping):
+        """Classical element: every term has k = 0."""
+        return cls._from_pairs(form, (((tuple(map(norm_rational, e)), 0), c) for e, c in mapping.items()))
+
+    @classmethod
+    def monomial(cls, form, exp, coeff=1, k=0):
+        return cls._from_pairs(form, [((tuple(map(norm_rational, exp)), norm_rational(k)), coeff)])
 
     @classmethod
     def generator(cls, form, i):
@@ -147,19 +53,11 @@ class QTorusElem:
 
     def __add__(self, other):
         self._check(other)
-        out = {e: c for e, c in self.terms}
-        for e, c in other.terms:
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return QTorusElem.from_terms(self.form, out)
+        return QTorusElem._from_pairs(self.form, chain(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        out = {e: c for e, c in self.terms}
-        for e, c in other.terms:
-            cur = out.get(e, VPoly())
-            out[e] = cur - c
-        return QTorusElem.from_terms(self.form, out)
+        return QTorusElem._from_pairs(self.form, chain(self.terms, ((key, -c) for key, c in other.terms)))
 
     def _check(self, other):
         if self.form != other.form:
@@ -167,63 +65,40 @@ class QTorusElem:
 
     def evaluate_classical(self) -> LaurentPoly:
         """Set the quantum parameter to one."""
-        return LaurentPoly(
-            self.seed, {e: c.evaluate_at_one() for e, c in self.terms}
-        )
+        return LaurentPoly(self.seed, sum_terms((e, c) for (e, _), c in self.terms))
 
     def __repr__(self):
-        body = " + ".join(f"({c!r})*X^{list(e)}" for e, c in self.terms) or "0"
+        body = " + ".join(f"{c}*v^{k}*X^{list(e)}" for (e, k), c in self.terms) or "0"
         return f"QTorusElem({body})"
-
-
-def _twist_exponent(form, e1, e2):
-    if isinstance(form, OmegaForm):
-        return -form.pairing(e1, e2)
-    return form.pairing(e1, e2)
 
 
 def q_mul(a: QTorusElem, b: QTorusElem) -> QTorusElem:
     """Twisted product on normal-ordered terms."""
     a._check(b)
-    out = {}
-    for e1, c1 in a.terms:
-        for e2, c2 in b.terms:
-            e = exp_add(e1, e2)
-            factor = VPoly.v_power(_twist_exponent(a.form, e1, e2))
-            add = factor * c1 * c2
-            cur = out.get(e)
-            out[e] = add if cur is None else cur + add
-    return QTorusElem.from_terms(a.form, out)
+    cmat = log_canonical_matrix(a.form)
+    return QTorusElem._from_pairs(
+        a.form,
+        (
+            ((exp_add(e1, e2), norm_rational(k1 + k2 + cmat.bilinear(e1, e2))), c1 * c2)
+            for (e1, k1), c1 in a.terms
+            for (e2, k2), c2 in b.terms
+        ),
+    )
 
 
-def poisson_limit_check(n1, n2, form, root_bound: int | None = None) -> dict:
+def poisson_limit_check(n1, n2, form) -> dict:
     """Commutator of two quantum monomials against the classical bracket.
 
-    The scaled commutator is divided by (parameter - 1) exactly, after a
-    power substitution clears fractional exponents, then evaluated in the
-    commutative limit and compared with the bracket of the corresponding
-    classical monomials.
+    The commutator sum c_k v^k X^e vanishes at v = 1, and its quotient by
+    v^2 - 1 tends to sum k c_k / 2 X^e there, exactly; that limit is
+    compared with the bracket of the corresponding classical monomials.
     """
     x1 = QTorusElem.monomial(form, n1)
     x2 = QTorusElem.monomial(form, n2)
     comm = q_mul(x1, x2) - q_mul(x2, x1)
-    if root_bound is None:
-        root_bound = 1
-        for _, c in comm.terms:
-            root_bound = lcm(root_bound, c.exponent_denominator())
-        if isinstance(form, OmegaForm):
-            d_all = 1
-            for di in form.seed.d:
-                d_all = lcm(d_all, di)
-            root_bound = lcm(root_bound, d_all)
-    limit_terms = {}
-    for e, c in comm.terms:
-        w_poly = c.substitute_power(root_bound)
-        quotient = w_poly.divide_by_w_minus_one()
-        val = Fraction(quotient.evaluate_at_one(), 2 * root_bound)
-        if val != 0:
-            limit_terms[e] = val
-    limit = LaurentPoly(form.seed, limit_terms)
+    if sum_terms((e, c) for (e, _), c in comm.terms):
+        raise InternalConsistencyError("the commutator of quantum monomials does not vanish at v = 1")
+    limit = LaurentPoly(form.seed, sum_terms((e, Fraction(k * c, 2)) for (e, k), c in comm.terms))
     classical = poisson_bracket(
         LaurentPoly.monomial(form.seed, n1),
         LaurentPoly.monomial(form.seed, n2),
@@ -239,12 +114,7 @@ def quantum_monomial_map(var, elem: QTorusElem, target_form) -> QTorusElem:
         raise ValueError("element does not live over the variation's source")
     if target_form.seed != var.target:
         raise ValueError("target form does not live over the variation's target")
-    out = {}
-    for e, c in elem.terms:
-        ne = var.matrix.apply(e)
-        cur = out.get(ne)
-        out[ne] = c if cur is None else cur + c
-    return QTorusElem.from_terms(target_form, out)
+    return QTorusElem._from_pairs(target_form, (((var.matrix.apply(e), k), c) for (e, k), c in elem.terms))
 
 
 def homomorphism_check(var, source_form, target_form) -> dict:

@@ -168,6 +168,20 @@ def test_twist_dt(a1_file, capsys):
     assert payload["verification"]["p_commutation"] is True
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["seed-check"], ["twist", "--kind", "dt", "--checks", "poisson"]],
+    ids=["seed-check", "twist"],
+)
+def test_non_positive_alpha_exits_2(argv, alpha, a1_file, capsys):
+    # a zero scale makes every bracket vanish and a negative one flips
+    # delta; both are refused instead of reported
+    code, out, err = run(capsys, *argv, "--seed", a1_file, "--alpha", alpha, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "alpha must be a positive integer" in err
+
+
 def test_twist_not_found(tmp_path, capsys):
     path = tmp_path / "markov.json"
     path.write_text(

@@ -52,23 +52,25 @@ def test_non_rational_scalars_are_refused(a1):
     # one normalizer for matrix entries, coefficients and exponents: a float
     # raises instead of being stored
     from cluster_twist.exact import Matrix
-    from cluster_twist.quantum import VPoly
+    from cluster_twist.poisson import omega_from_seed
+    from cluster_twist.quantum import QTorusElem
 
     with pytest.raises(TypeError):
         LaurentPoly(a1, {(0, 0): 0.5})
     with pytest.raises(TypeError):
         LaurentPoly.monomial(a1, (1, 0.5))
+    form = omega_from_seed(a1)
     with pytest.raises(TypeError):
-        VPoly({0: 1.5})
+        QTorusElem.from_terms(form, {(0, 0): 1.5})
     with pytest.raises(TypeError):
-        VPoly({0.5: 1})
+        QTorusElem.monomial(form, (0, 0), k=0.5)
     with pytest.raises(TypeError):
         Matrix([[1.0]])
     # integral Fractions are stored as int
     ((exp, coeff),) = LaurentPoly(a1, {(Fraction(2, 2), Fraction(4, 2)): Fraction(3, 1)}).terms.items()
     assert [type(x) for x in (*exp, coeff)] == [int, int, int]
-    ((e, c),) = VPoly({Fraction(2, 1): Fraction(6, 3)}).terms.items()
-    assert [type(e), type(c)] == [int, int]
+    (((_, k), c),) = QTorusElem.monomial(form, (0, 0), Fraction(6, 3), k=Fraction(2, 1)).terms
+    assert [type(k), type(c)] == [int, int]
 
 
 def test_rational_exponents_frozen_only(a1):

@@ -66,7 +66,7 @@ def test_mutate_lambda_randomized():
     while done < 15:
         seed = random_symmetrizable_seed(rng, require_full_rank=True)
         try:
-            form, _ = solve_compatible_lambda(seed, alpha_bound=8)
+            form, _ = solve_compatible_lambda(seed)
         except Infeasible:
             continue
         k = rng.choice(seed.unfrozen)
@@ -172,7 +172,7 @@ def test_bracket_matches_quotient_rule_reference():
         seed = _random_oracle_seed(rng, principal)
         forms = [omega_from_seed(seed)]
         try:
-            forms.append(solve_compatible_lambda(seed, alpha_bound=8)[0])
+            forms.append(solve_compatible_lambda(seed)[0])
         except Infeasible:
             pass
         for form in forms:
@@ -208,6 +208,20 @@ def test_lambda_form_must_be_skew(a1_seed):
     assert LambdaForm(a1_seed, Matrix([[0, 1], [-1, 0]]), 1).alpha == 1
 
 
+def test_lambda_form_alpha_must_be_positive(a1_seed, a2_principal):
+    from cluster_twist.twist import build_principal_twist
+
+    lam = Matrix([[0, 1], [-1, 0]])
+    for alpha in (0, -1, True, Fraction(1), 1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            LambdaForm(a1_seed, lam, alpha)
+    for alpha in (0, -1):
+        with pytest.raises(ValueError, match="alpha"):
+            solve_compatible_lambda(a1_seed, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            build_principal_twist(a2_principal, (0,), alpha=alpha)
+
+
 def test_bracket_monomial_formula():
     rng = random.Random(59)
     for _ in range(20):
@@ -218,7 +232,7 @@ def test_bracket_monomial_formula():
         got = poisson_bracket(
             LaurentPoly.monomial(seed, n1), LaurentPoly.monomial(seed, n2), form
         )
-        coeff = -form.pairing(n1, n2)
+        coeff = -form.w.bilinear(n1, n2)
         want = RationalExpr(
             LaurentPoly(seed, {tuple(a + b for a, b in zip(n1, n2)): coeff})
         )

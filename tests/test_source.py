@@ -62,20 +62,42 @@ def _adds_to_a_dict_lookup(node):
     )
 
 
+def _stores_a_sum_into_a_looked_up_dict(func):
+    # d[k] = <value containing +> in a function that also calls d.get(...)
+    looked_up = {
+        node.func.value.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Name)
+    }
+    return [
+        node
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign)
+        and any(
+            isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name) and t.value.id in looked_up
+            for t in node.targets
+        )
+        and any(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Add) for x in ast.walk(node.value))
+    ]
+
+
 def test_one_sparse_accumulator():
     # laurent.sum_terms alone sums coefficients by key and drops the zeros;
     # a hand-written copy can forget to drop a cancelled term or to
     # normalize a sum
-    found = []
+    found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         for node in ast.walk(tree):
             if path.name == "laurent.py" and isinstance(node, ast.FunctionDef) and node.name == "sum_terms":
                 allowed = {id(x) for x in ast.walk(node)}
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if _adds_to_a_dict_lookup(node) and id(node) not in allowed
-        ]
-    assert not found, f"coefficients summed by hand outside laurent.sum_terms: {found}"
+        flagged = [node for node in ast.walk(tree) if _adds_to_a_dict_lookup(node)]
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                flagged += _stores_a_sum_into_a_looked_up_dict(func)
+        found |= {f"{path.name}:{node.lineno}" for node in flagged if id(node) not in allowed}
+    assert not found, f"coefficients summed by hand outside laurent.sum_terms: {sorted(found)}"
