@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,7 @@ from cluster_twist.mutation import (
     trans_matrix,
     verify_matrix_identities,
 )
-from cluster_twist.seeds import make_seed, mutate_b, mutate_b_along, principal_seed
+from cluster_twist.seeds import make_seed, mutate_b, mutate_b_along, principal_seed, validate
 
 from conftest import random_symmetrizable_seed, random_sequence
 
@@ -301,6 +302,34 @@ def test_extend_equals_replay():
             assert prefix.seq == seq[:length]
             assert len(prefix.seeds) == length + 1
             assert prefix.seeds == seeds[: length + 1]
+
+
+def random_frozen_anywhere_seed(rng):
+    """Seed on 2 to 5 vertices with 0 to 2 frozen ones at any position,
+    d_i in {1, 2, 3} and b_ij = v*d_i/gcd(d_i, d_j) for v in [-2, 2]."""
+    n = rng.randint(2, 5)
+    d = [rng.choice((1, 2, 3)) for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = rng.randint(-2, 2)
+            g = gcd(d[i], d[j])
+            b[i][j], b[j][i] = v * d[i] // g, -v * d[j] // g
+    frozen = rng.sample(range(n), rng.randint(0, min(2, n - 1)))
+    return make_seed(b, frozen=frozen, d=d)
+
+
+def test_extend_equals_replay_with_frozen_vertices():
+    # frozen rows and columns anywhere, unequal symmetrizers and entries of
+    # both signs reach every index a step of E and F touches
+    rng = random.Random(1007)
+    for _ in range(400):
+        t0 = random_frozen_anywhere_seed(rng)
+        assert validate(t0).ok, t0
+        seq = random_sequence(rng, t0, max_len=6)
+        traj = run_trajectory(t0, seq)
+        seeds, signs, e, f = replay(t0, seq)
+        assert (traj.seeds, traj.signs, traj.e_matrix, traj.f_matrix) == (seeds, signs, e, f), (t0, seq)
 
 
 def test_extend_rejects_frozen_vertex(a1_seed):
