@@ -560,6 +560,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refused before any work, whether or not the seed has a compatible form
+        alpha = getattr(args, "alpha", None)
+        if alpha is not None and alpha <= 0:
+            raise CliError(f"alpha must be a positive integer, got {alpha}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

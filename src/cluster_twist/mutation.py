@@ -322,6 +322,10 @@ class SeedTrajectory:
         """The trajectory one mutation longer, at vertex ``k``, with the
         step's sign taken from the sign-coherent c-vector of ``k``.
 
+        A step is the one-step c-/g-vector recurrence and builds no
+        transition matrix: E gains multiples of its column k, which changes
+        sign, and F is rewritten in column k alone.
+
         Each step checks that the c-vector is sign-coherent, that the
         degree matrices keep their duality E^T = D^-1 F^-1 D (D = diag(d)),
         and that every column of E and every row of F stays sign-coherent.
@@ -336,8 +340,26 @@ class SeedTrajectory:
             raise InternalConsistencyError(f"c-vector at vertex {k} is not sign-coherent: {cvec}")
         cur = self.final
         nxt = mutate_b(cur, k)
-        e = e * trans_matrix(cur, k, eps, "N").matrix
-        f = f * trans_matrix(cur, k, eps, "M").matrix
+        # E' = E T_N and F' = F T_M, where T_N differs from the identity in
+        # row k and T_M in column k (see ``trans_matrix``)
+        gain = [max(eps * x, 0) for x in cur.b.row(k)]
+        pull = [0 if i == k else max(-eps * x, 0) for i, x in enumerate(cur.b.col(k))]
+
+        def step_e(row):
+            ek = row[k]
+            if not ek:
+                return row
+            out = [x + g * ek for x, g in zip(row, gain)]
+            out[k] = -ek
+            return out
+
+        def step_f(row):
+            out = list(row)
+            out[k] = sum(p * x for p, x in zip(pull, row)) - row[k]
+            return out
+
+        e = Matrix([step_e(row) for row in e.rows], t0.n)
+        f = Matrix([step_f(row) for row in f.rows], t0.n)
         # E^T = D^-1 F^-1 D  <=>  F D E^T = D, which needs no inverse.
         # Summed in place: building the three products as Matrix objects
         # costs the search workload a sixth of its throughput.

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .exact import Infeasible, InternalConsistencyError, Matrix, integer_solution, integral_member, solve_affine
@@ -58,11 +59,18 @@ def log_canonical_matrix(form) -> Matrix:
     raise TypeError("form must be an OmegaForm or a LambdaForm")
 
 
-def omega_from_seed(seed: Seed) -> OmegaForm:
-    w = seed.b.transpose() * seed.d_inverse_matrix()
+@lru_cache(maxsize=128)
+def _skew_form(b: Matrix, d: tuple) -> Matrix:
+    """W = B^T D^-1, checked skew.  Keyed on content, not on a ``Seed``,
+    whose equality ignores its labels."""
+    w = b.transpose() * Matrix.diagonal([Fraction(1, di) for di in d])
     if not w.is_skew_symmetric():
         raise ValueError("seed data does not induce a skew form; check the symmetrizers")
-    return OmegaForm(seed, w)
+    return w
+
+
+def omega_from_seed(seed: Seed) -> OmegaForm:
+    return OmegaForm(seed, _skew_form(seed.b, seed.d))
 
 
 def _compatibility_residual(seed: Seed, lam: Matrix, alpha) -> bool:

@@ -182,6 +182,19 @@ def test_non_positive_alpha_exits_2(argv, alpha, a1_file, capsys):
     assert "alpha must be a positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["seed-check", "--alpha", "0"], ["twist", "--kind", "dt", "--alpha", "-3"]],
+    ids=["seed-check", "twist"],
+)
+def test_non_positive_alpha_exits_2_without_compatible_form(argv, digon_file, capsys):
+    # the digon's exchange columns are rank-deficient, so no compatible form
+    # is solved for and the bad scale is refused up front
+    code, out, err = run(capsys, *argv, "--seed", digon_file, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "alpha must be a positive integer" in err
+
+
 def test_twist_not_found(tmp_path, capsys):
     path = tmp_path / "markov.json"
     path.write_text(

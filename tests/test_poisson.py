@@ -80,6 +80,19 @@ def test_mutate_lambda_randomized():
         done += 1
 
 
+def test_omega_keeps_the_callers_seed():
+    # seeds equal in content compare equal whatever their labels, so the
+    # form must come back around the very seed object that was passed in
+    rows = [[0, 1, 0], [-2, 0, 1], [0, -1, 0]]
+    first = make_seed(rows, frozen=[2], d=[1, 2, 2], labels=["a", "b", "c"])
+    second = make_seed(rows, frozen=[2], d=[1, 2, 2], labels=["x", "y", "z"])
+    assert first == second
+    forms = [omega_from_seed(first), omega_from_seed(second)]
+    assert forms[0].seed is first and forms[1].seed is second
+    assert [f.seed.labels for f in forms] == [("a", "b", "c"), ("x", "y", "z")]
+    assert forms[0].w == forms[1].w
+
+
 def test_check_lambda_omega_link(a1_seed):
     form, _ = solve_compatible_lambda(a1_seed, alpha=1)
     assert check_lambda_omega_link(form, a1_seed)["ok"]

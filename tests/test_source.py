@@ -101,3 +101,67 @@ def test_one_sparse_accumulator():
                 flagged += _stores_a_sum_into_a_looked_up_dict(func)
         found |= {f"{path.name}:{node.lineno}" for node in flagged if id(node) not in allowed}
     assert not found, f"coefficients summed by hand outside laurent.sum_terms: {sorted(found)}"
+
+
+def _callee_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _bounded_maxsize(decorator):
+    # @lru_cache(maxsize=N) or @lru_cache(N) with N a positive int literal
+    if not isinstance(decorator, ast.Call):
+        return False
+    values = [kw.value for kw in decorator.keywords if kw.arg == "maxsize"] or decorator.args[:1]
+    return (
+        len(values) == 1
+        and isinstance(values[0], ast.Constant)
+        and type(values[0].value) is int
+        and values[0].value > 0
+    )
+
+
+def test_library_caches_are_bounded():
+    # a cache that outlives a call holds at most a fixed number of entries,
+    # and only on a module-level function, where the benchmark finds it and
+    # clears it before every task
+    found, checked = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module_level = {id(node) for node in tree.body}
+        decorators = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                name = _callee_name(dec)
+                where = f"{path.name}:{dec.lineno}"
+                if name == "cache":
+                    found.append(f"{where} unbounded functools.cache")
+                if name != "lru_cache":
+                    continue
+                decorators.add(id(dec.func if isinstance(dec, ast.Call) else dec))
+                checked.append(where)
+                if id(node) not in module_level:
+                    found.append(f"{where} cache on a function that is not module-level")
+                if not _bounded_maxsize(dec):
+                    found.append(f"{where} lru_cache without a finite integer maxsize")
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{where} imports functools.cache" for a in node.names if a.name == "cache"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cache" and _callee_name(node.value) == "functools":
+                found.append(f"{where} functools.cache")
+            elif isinstance(node, ast.keyword) and node.arg == "maxsize":
+                if isinstance(node.value, ast.Constant) and node.value.value is None:
+                    found.append(f"{where} maxsize=None")
+            elif _callee_name(node) == "lru_cache" and isinstance(node, (ast.Name, ast.Attribute)):
+                if id(node) not in decorators:
+                    found.append(f"{where} lru_cache used other than as a decorator")
+    assert checked
+    assert not found, f"unbounded or nested caches in the library: {found}"
